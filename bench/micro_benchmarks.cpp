@@ -71,10 +71,10 @@ void BM_Ablation_DoubleAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_Ablation_DoubleAdd);
 
-std::vector<ledger::TxRecord> make_records(std::size_t n) {
+ledger::PaymentColumns make_payments(std::size_t n) {
     util::Rng rng = util::RngStream(7).derive("records").rng();
-    std::vector<ledger::TxRecord> records;
-    records.reserve(n);
+    ledger::PaymentColumns payments;
+    payments.reserve(n);
     std::int64_t now = 0;
     for (std::size_t i = 0; i < n; ++i) {
         now += static_cast<std::int64_t>(rng.uniform_u64(0, 9));
@@ -86,39 +86,25 @@ std::vector<ledger::TxRecord> make_records(std::size_t n) {
         r.currency = ledger::Currency::from_code(rng.bernoulli(0.5) ? "USD" : "BTC");
         r.amount = ledger::IouAmount::from_double(rng.lognormal(3.0, 2.0));
         r.time = util::RippleTime{now};
-        records.push_back(r);
+        payments.push_back(r);
     }
-    return records;
+    return payments;
 }
 
 void BM_Fingerprint(benchmark::State& state) {
-    const auto records = make_records(1);
+    const ledger::TxRecord record = make_payments(1).row(0);
     const core::ResolutionConfig config = core::full_resolution();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(core::fingerprint(records[0], config));
+        benchmark::DoNotOptimize(core::fingerprint(record, config));
     }
 }
 BENCHMARK(BM_Fingerprint);
 
-void BM_InformationGain(benchmark::State& state) {
-    const auto records = make_records(static_cast<std::size_t>(state.range(0)));
-    const core::Deanonymizer deanonymizer(records);
-    const core::ResolutionConfig config = core::full_resolution();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(deanonymizer.information_gain(config));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
-}
-BENCHMARK(BM_InformationGain)->Arg(10'000)->Arg(100'000)->Arg(250'000);
-
-// Row vs columnar IG over the same payments (the speedup the SoA
-// layout buys: one batched fingerprint pass with per-account and
-// per-currency precomputation instead of two row scans).
+// IG over the SoA layout: one batched fingerprint pass with
+// per-account and per-currency precomputation.
 void BM_InformationGainColumnar(benchmark::State& state) {
-    const auto records = make_records(static_cast<std::size_t>(state.range(0)));
     const ledger::PaymentColumns columns =
-        ledger::PaymentColumns::from_records(records);
+        make_payments(static_cast<std::size_t>(state.range(0)));
     const core::Deanonymizer deanonymizer(columns);
     const core::ResolutionConfig config = core::full_resolution();
     for (auto _ : state) {
@@ -141,9 +127,7 @@ void ThreadSweepArgs(benchmark::internal::Benchmark* b) {
 }
 
 void BM_InformationGainColumnarThreads(benchmark::State& state) {
-    const auto records = make_records(250'000);
-    const ledger::PaymentColumns columns =
-        ledger::PaymentColumns::from_records(records);
+    const ledger::PaymentColumns columns = make_payments(250'000);
     const core::Deanonymizer deanonymizer(columns);
     const core::ResolutionConfig config = core::full_resolution();
     exec::ScopedParallelism pool(static_cast<std::size_t>(state.range(0)));
@@ -158,9 +142,7 @@ BENCHMARK(BM_InformationGainColumnarThreads)->Apply(ThreadSweepArgs);
 // The full ten-configuration Fig 3 grid — the acceptance target for
 // the chunked runtime (configs x chunks on one flat task grid).
 void BM_IgStudyThreads(benchmark::State& state) {
-    const auto records = make_records(250'000);
-    const ledger::PaymentColumns columns =
-        ledger::PaymentColumns::from_records(records);
+    const ledger::PaymentColumns columns = make_payments(250'000);
     exec::ScopedParallelism pool(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::run_ig_study(columns.view()));
@@ -172,20 +154,22 @@ BENCHMARK(BM_IgStudyThreads)->Apply(ThreadSweepArgs);
 
 // Ablation: one indexed attack vs scanning the whole history.
 void BM_AttackIndexed(benchmark::State& state) {
-    const auto records = make_records(100'000);
-    const core::AttackIndex index(records, core::full_resolution());
+    const ledger::PaymentColumns columns = make_payments(100'000);
+    const ledger::TxRecord observation = columns.row(12'345);
+    const core::AttackIndex index(columns, core::full_resolution());
     for (auto _ : state) {
-        benchmark::DoNotOptimize(index.candidate_senders(records[12'345]));
+        benchmark::DoNotOptimize(index.candidate_senders(observation));
     }
 }
 BENCHMARK(BM_AttackIndexed);
 
 void BM_AttackScan(benchmark::State& state) {
-    const auto records = make_records(100'000);
-    const core::Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns columns = make_payments(100'000);
+    const ledger::TxRecord observation = columns.row(12'345);
+    const core::Deanonymizer deanonymizer(columns);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            deanonymizer.attack(records[12'345], core::full_resolution()));
+            deanonymizer.attack(observation, core::full_resolution()));
     }
 }
 BENCHMARK(BM_AttackScan);

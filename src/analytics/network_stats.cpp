@@ -31,19 +31,6 @@ void fill_ledger_stats(NetworkStats& stats, const ledger::LedgerState& ledger) {
                                   static_cast<double>(stats.accounts);
 }
 
-}  // namespace
-
-// Deprecated shim (see header): one interning pass, then the columnar
-// scan — so both overloads share a single counting implementation.
-NetworkStats compute_network_stats(const ledger::LedgerState& ledger,
-                                   std::span<const ledger::TxRecord> records) {
-    const ledger::PaymentColumns columns =
-        ledger::PaymentColumns::from_records(records);
-    return compute_network_stats(ledger, columns.view());
-}
-
-namespace {
-
 /// Sorted, deduplicated interned-account ids seen by one chunk (or a
 /// merged prefix of chunks).
 struct ActivityPartial {

@@ -5,13 +5,11 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "ledger/ledger.hpp"
 #include "ledger/payment_columns.hpp"
-#include "ledger/transaction.hpp"
 
 namespace xrpl::analytics {
 
@@ -29,18 +27,8 @@ struct NetworkStats {
     std::uint32_t max_degree = 0;
 };
 
-/// Row-path entry point, kept as a thin shim: interns the records into
-/// PaymentColumns and runs the column-native overload. Callers that
-/// already hold columns (every figure pipeline does) should pass a
-/// PaymentView instead and skip the conversion.
-[[deprecated(
-    "intern once with PaymentColumns::from_records and call the "
-    "PaymentView overload")]] [[nodiscard]] NetworkStats
-compute_network_stats(const ledger::LedgerState& ledger,
-                      std::span<const ledger::TxRecord> records);
-
-/// Column-native overload: distinct-sender/participant counts come
-/// from flag vectors over the interner (no AccountID hashing).
+/// Distinct-sender/participant counts come from flag vectors over the
+/// interner (no AccountID hashing).
 [[nodiscard]] NetworkStats compute_network_stats(
     const ledger::LedgerState& ledger, ledger::PaymentView view);
 

@@ -33,37 +33,15 @@ double AnonymityProfile::mean_set_size() const noexcept {
 
 std::uint32_t AnonymityProfile::set_size_quantile(double fraction) const noexcept {
     if (total_ == 0) return 0;
-    const auto threshold = static_cast<std::uint64_t>(
-        fraction * static_cast<double>(total_));
+    // Compare in double: truncating fraction * total to an integer
+    // would stop at a k covering LESS than `fraction` of payments.
+    const double threshold = fraction * static_cast<double>(total_);
     std::uint64_t covered = 0;
     for (const auto& [size, payments] : histogram_) {
         covered += payments;
-        if (covered >= threshold) return size;
+        if (static_cast<double>(covered) >= threshold) return size;
     }
     return histogram_.empty() ? 0 : histogram_.rbegin()->first;
-}
-
-AnonymityProfile analyze_anonymity(std::span<const ledger::TxRecord> records,
-                                   const ResolutionConfig& config) {
-    // fingerprint -> (payment count, distinct senders).
-    struct Bucket {
-        std::uint64_t payments = 0;
-        std::unordered_set<ledger::AccountID> senders;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(records.size());
-    for (const ledger::TxRecord& record : records) {
-        Bucket& bucket = buckets[fingerprint(record, config)];
-        ++bucket.payments;
-        bucket.senders.insert(record.sender);
-    }
-
-    AnonymityProfile profile;
-    for (const auto& [fp, bucket] : buckets) {
-        profile.add(static_cast<std::uint32_t>(bucket.senders.size()),
-                    bucket.payments);
-    }
-    return profile;
 }
 
 AnonymityProfile analyze_anonymity(ledger::PaymentView view,

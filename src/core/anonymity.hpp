@@ -10,12 +10,9 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
-#include <vector>
 
 #include "core/features.hpp"
 #include "ledger/payment_columns.hpp"
-#include "ledger/transaction.hpp"
 
 namespace xrpl::core {
 
@@ -48,12 +45,8 @@ private:
     std::uint64_t total_ = 0;
 };
 
-/// Analyze the whole history under `config`.
-[[nodiscard]] AnonymityProfile analyze_anonymity(
-    std::span<const ledger::TxRecord> records, const ResolutionConfig& config);
-
-/// Column-native overload: identical profile, computed from one
-/// batched fingerprint pass with interned u32 sender sets.
+/// Analyze the history under `config`: one batched fingerprint pass,
+/// then interned u32 sender sets per fingerprint.
 [[nodiscard]] AnonymityProfile analyze_anonymity(ledger::PaymentView view,
                                                  const ResolutionConfig& config);
 

@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "core/fingerprint.hpp"
+#include "core/ig_accumulator.hpp"
 
 namespace xrpl::core {
 
@@ -69,31 +69,24 @@ AccountClusters cluster_by_activation(std::span<const ActivationEdge> edges) {
     return clusters;
 }
 
-IgResult clustered_information_gain(std::span<const ledger::TxRecord> records,
+IgResult clustered_information_gain(ledger::PaymentView view,
                                     const ResolutionConfig& config,
                                     const AccountClusters& clusters) {
-    struct Bucket {
-        ledger::AccountID entity;
-        bool multi = false;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(records.size());
-
-    for (const ledger::TxRecord& record : records) {
-        const std::uint64_t fp = fingerprint(record, config);
-        const ledger::AccountID entity = clusters.representative(record.sender);
-        auto [it, inserted] = buckets.try_emplace(fp, Bucket{entity, false});
-        if (!inserted && !(it->second.entity == entity)) it->second.multi = true;
+    // Resolve each interned account's entity once, on this thread:
+    // representative() path-compresses a mutable map, so it must never
+    // run inside a pool task. Entities intern to dense owner ids.
+    const ledger::PaymentColumns& columns = view.columns();
+    ledger::AccountInterner entities;
+    std::vector<std::uint32_t> entity_of(columns.accounts.size());
+    for (std::uint32_t a = 0; a < entity_of.size(); ++a) {
+        entity_of[a] = entities.intern(clusters.representative(columns.accounts.at(a)));
     }
-
-    IgResult result;
-    result.total_payments = records.size();
-    for (const ledger::TxRecord& record : records) {
-        if (!buckets.at(fingerprint(record, config)).multi) {
-            ++result.uniquely_identified;
-        }
+    const std::span<const std::uint32_t> senders = sender_ids(view);
+    std::vector<std::uint32_t> owners(senders.size());
+    for (std::size_t i = 0; i < senders.size(); ++i) {
+        owners[i] = entity_of[senders[i]];
     }
-    return result;
+    return ig_scan(view, owners, config);
 }
 
 }  // namespace xrpl::core

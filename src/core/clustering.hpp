@@ -18,6 +18,7 @@
 
 #include "core/deanonymizer.hpp"
 #include "core/features.hpp"
+#include "ledger/payment_columns.hpp"
 #include "ledger/transaction.hpp"
 
 namespace xrpl::core {
@@ -75,7 +76,7 @@ struct ActivationEdge {
 /// of its payments come from ONE cluster. With the identity map this
 /// equals Deanonymizer::information_gain.
 [[nodiscard]] IgResult clustered_information_gain(
-    std::span<const ledger::TxRecord> records, const ResolutionConfig& config,
+    ledger::PaymentView view, const ResolutionConfig& config,
     const AccountClusters& clusters);
 
 }  // namespace xrpl::core

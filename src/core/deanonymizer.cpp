@@ -15,115 +15,37 @@ const std::vector<std::uint32_t> kNoMatches;
 }  // namespace
 
 IgResult Deanonymizer::information_gain(const ResolutionConfig& config) const {
-    return view_ ? information_gain_columns(config) : information_gain_rows(config);
-}
-
-IgResult Deanonymizer::information_gain_rows(const ResolutionConfig& config) const {
-    // fingerprint -> (first sender seen, is-multi-sender flag)
-    struct Bucket {
-        ledger::AccountID sender;
-        bool multi = false;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(records_.size());
-
-    for (const ledger::TxRecord& record : records_) {
-        const std::uint64_t fp = fingerprint(record, config);
-        auto [it, inserted] = buckets.try_emplace(fp, Bucket{record.sender, false});
-        if (!inserted && !(it->second.sender == record.sender)) {
-            it->second.multi = true;
-        }
-    }
-
-    IgResult result;
-    result.total_payments = records_.size();
-    for (const ledger::TxRecord& record : records_) {
-        const std::uint64_t fp = fingerprint(record, config);
-        if (!buckets.at(fp).multi) ++result.uniquely_identified;
-    }
-    return result;
-}
-
-IgResult Deanonymizer::information_gain_columns(
-    const ResolutionConfig& config) const {
-    // Chunk-parallel map (fingerprint + bucket each chunk on the
-    // pool), then the ordered associative merge — identical counts for
-    // every thread count; see ig_accumulator.hpp.
-    const FingerprintPlan plan(view_->columns(), config);
-    const exec::ChunkedView chunks(*view_);
-    const IgPartial merged = exec::map_reduce<IgPartial>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
-            return ig_map_chunk(*view_, plan, b.begin, b.end);
-        },
-        [](IgPartial& acc, IgPartial&& part) {
-            ig_reduce(acc, std::move(part));
-        });
-    return ig_finalize(merged);
+    return ig_scan(view_, sender_ids(view_), config);
 }
 
 std::vector<ledger::AccountID> Deanonymizer::attack(
     const ledger::TxRecord& observation, const ResolutionConfig& config) const {
     const std::uint64_t fp = fingerprint(observation, config);
-    std::vector<ledger::AccountID> senders;
-
-    if (view_) {
-        const std::vector<std::uint64_t> fingerprints =
-            fingerprint_column(*view_, config);
-        const ledger::PaymentColumns& columns = view_->columns();
-        const std::size_t offset = view_->offset();
-        std::unordered_set<std::uint32_t> seen;
-        for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-            if (fingerprints[i] != fp) continue;
-            const std::uint32_t sender = columns.sender_id[offset + i];
-            if (seen.insert(sender).second) {
-                senders.push_back(columns.accounts.at(sender));
-            }
-        }
-        return senders;
-    }
-
-    for (const ledger::TxRecord& record : records_) {
-        if (fingerprint(record, config) != fp) continue;
-        if (std::find(senders.begin(), senders.end(), record.sender) ==
-            senders.end()) {
-            senders.push_back(record.sender);
+    const std::vector<std::uint64_t> fingerprints = fingerprint_column(view_, config);
+    const std::span<const std::uint32_t> senders = sender_ids(view_);
+    const ledger::AccountInterner& accounts = view_.columns().accounts;
+    std::vector<ledger::AccountID> candidates;
+    std::unordered_set<std::uint32_t> seen;
+    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+        if (fingerprints[i] != fp) continue;
+        if (seen.insert(senders[i]).second) {
+            candidates.push_back(accounts.at(senders[i]));
         }
     }
-    return senders;
+    return candidates;
 }
 
 std::vector<ledger::TxRecord> Deanonymizer::history_of(
     const ledger::AccountID& account) const {
     std::vector<ledger::TxRecord> history;
-
-    if (view_) {
-        const ledger::PaymentColumns& columns = view_->columns();
-        const std::optional<std::uint32_t> id = columns.accounts.find(account);
-        if (!id) return history;
-        const std::size_t offset = view_->offset();
-        for (std::size_t i = 0; i < view_->size(); ++i) {
-            if (columns.sender_id[offset + i] == *id) {
-                history.push_back(columns.row(offset + i));
-            }
-        }
-        return history;
-    }
-
-    for (const ledger::TxRecord& record : records_) {
-        if (record.sender == account) history.push_back(record);
+    const ledger::PaymentColumns& columns = view_.columns();
+    const std::optional<std::uint32_t> id = columns.accounts.find(account);
+    if (!id) return history;
+    const std::span<const std::uint32_t> senders = sender_ids(view_);
+    for (std::size_t i = 0; i < senders.size(); ++i) {
+        if (senders[i] == *id) history.push_back(columns.row(view_.offset() + i));
     }
     return history;
-}
-
-AttackIndex::AttackIndex(std::span<const ledger::TxRecord> records,
-                         ResolutionConfig config)
-    : records_(records), config_(config) {
-    index_.reserve(records.size());
-    for (std::uint32_t i = 0; i < records.size(); ++i) {
-        index_[fingerprint(records[i], config_)].push_back(i);
-    }
 }
 
 AttackIndex::AttackIndex(const ledger::PaymentColumns& payments,
@@ -182,14 +104,6 @@ AttackIndex::AttackIndex(ledger::PaymentView view, ResolutionConfig config)
 #endif
 }
 
-const ledger::AccountID& AttackIndex::sender_of(std::uint32_t i) const noexcept {
-    if (view_) {
-        const ledger::PaymentColumns& columns = view_->columns();
-        return columns.accounts.at(columns.sender_id[view_->offset() + i]);
-    }
-    return records_[i].sender;
-}
-
 const std::vector<std::uint32_t>& AttackIndex::matches(
     const ledger::TxRecord& observation) const {
     const auto it = index_.find(fingerprint(observation, config_));
@@ -198,9 +112,11 @@ const std::vector<std::uint32_t>& AttackIndex::matches(
 
 std::vector<ledger::AccountID> AttackIndex::candidate_senders(
     const ledger::TxRecord& observation) const {
+    const ledger::PaymentColumns& columns = view_.columns();
     std::vector<ledger::AccountID> senders;
     for (const std::uint32_t i : matches(observation)) {
-        const ledger::AccountID& sender = sender_of(i);
+        const ledger::AccountID& sender =
+            columns.accounts.at(columns.sender_id[view_.offset() + i]);
         if (std::find(senders.begin(), senders.end(), sender) == senders.end()) {
             senders.push_back(sender);
         }

@@ -1,7 +1,7 @@
 // The de-anonymizer — §V's attack, as a reusable component.
 //
-// Given the public payment history (the ledger's TxRecords) it
-// answers two questions:
+// Given the public payment history (a PaymentColumns store, or a
+// PaymentView window of one) it answers two questions:
 //
 //  * information_gain(config): what fraction of all payments have a
 //    fingerprint shared by exactly one sender? This is the IG metric
@@ -13,16 +13,13 @@
 //    returns every candidate sender, and history_of() then dumps the
 //    victim's entire financial life.
 //
-// Two storage backends, identical results: the legacy row span
-// (std::span<const TxRecord>) and the columnar PaymentColumns /
-// PaymentView. The columnar path computes fingerprints in one batched
-// column pass and compares interned u32 sender ids instead of 20-byte
-// accounts — measurably faster per configuration scanned.
+// Scans compute fingerprints in one batched column pass and compare
+// interned u32 sender ids instead of 20-byte accounts. Observations
+// and history_of()'s result are TxRecords: the attacker's view of a
+// payment is one row, not a store.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -48,14 +45,11 @@ struct IgResult {
 
 class Deanonymizer {
 public:
-    /// The records are referenced, not copied; the caller keeps them
-    /// alive for the Deanonymizer's lifetime.
-    explicit Deanonymizer(std::span<const ledger::TxRecord> records) noexcept
-        : records_(records) {}
-
-    /// Columnar backends; the store outlives the Deanonymizer.
+    /// The store is referenced, not copied: it must outlive the
+    /// Deanonymizer (hence no temporaries).
     explicit Deanonymizer(const ledger::PaymentColumns& payments) noexcept
         : view_(payments.view()) {}
+    explicit Deanonymizer(ledger::PaymentColumns&&) = delete;
     explicit Deanonymizer(ledger::PaymentView view) noexcept : view_(view) {}
 
     /// Fig 3's IG for one resolution configuration. O(n) time,
@@ -74,27 +68,24 @@ public:
         const ledger::AccountID& account) const;
 
     [[nodiscard]] std::size_t record_count() const noexcept {
-        return view_ ? view_->size() : records_.size();
+        return view_.size();
     }
 
 private:
-    [[nodiscard]] IgResult information_gain_rows(const ResolutionConfig& config) const;
-    [[nodiscard]] IgResult information_gain_columns(
-        const ResolutionConfig& config) const;
-
-    std::span<const ledger::TxRecord> records_;
-    std::optional<ledger::PaymentView> view_;
+    ledger::PaymentView view_;
 };
 
 /// Precomputed fingerprint index for repeated attack queries at one
 /// fixed resolution (the interactive examples use this).
 class AttackIndex {
 public:
-    AttackIndex(std::span<const ledger::TxRecord> records, ResolutionConfig config);
+    /// Like Deanonymizer, the index keeps a view into the store.
     AttackIndex(const ledger::PaymentColumns& payments, ResolutionConfig config);
+    AttackIndex(ledger::PaymentColumns&&, ResolutionConfig) = delete;
     AttackIndex(ledger::PaymentView view, ResolutionConfig config);
 
-    /// Indices of all records matching the observation's fingerprint.
+    /// View-relative indices of all payments matching the
+    /// observation's fingerprint, ascending.
     [[nodiscard]] const std::vector<std::uint32_t>& matches(
         const ledger::TxRecord& observation) const;
 
@@ -106,10 +97,7 @@ public:
     [[nodiscard]] std::size_t bucket_count() const noexcept { return index_.size(); }
 
 private:
-    [[nodiscard]] const ledger::AccountID& sender_of(std::uint32_t i) const noexcept;
-
-    std::span<const ledger::TxRecord> records_;
-    std::optional<ledger::PaymentView> view_;
+    ledger::PaymentView view_;
     ResolutionConfig config_;
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
 };

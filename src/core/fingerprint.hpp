@@ -12,12 +12,14 @@
 // collide structurally, only through (negligible) hash accident.
 //
 // Two evaluation paths produce bit-identical fingerprints:
-//  * fingerprint(record, config): one row at a time (legacy callers).
-//  * fingerprint_column(view, config): the whole history in one pass
-//    over the columnar store, with per-column precomputation — each
-//    distinct account is folded to its hash word once, each currency
-//    resolves its code word and Table I rounding unit once, and the
-//    per-row loop touches only dense columns.
+//  * fingerprint(record, config): one row — the attacker's
+//    observation, which is never part of a store.
+//  * fingerprint_column(view, config) / FingerprintPlan: the history
+//    in one pass over the columnar store, with per-column
+//    precomputation — each distinct account is folded to its hash
+//    word once, each currency resolves its code word and Table I
+//    rounding unit once, and the per-row loop touches only dense
+//    columns.
 #pragma once
 
 #include <cstdint>

@@ -2,14 +2,22 @@
 
 #include <vector>
 
+#include "exec/chunked_view.hpp"
+#include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
 
 namespace xrpl::core {
 
-IgPartial ig_map_chunk(ledger::PaymentView view, const FingerprintPlan& plan,
-                       std::size_t begin, std::size_t end) {
-    const ledger::PaymentColumns& columns = view.columns();
+std::span<const std::uint32_t> sender_ids(ledger::PaymentView view) noexcept {
+    return std::span<const std::uint32_t>(view.columns().sender_id)
+        .subspan(view.offset(), view.size());
+}
+
+IgPartial ig_map_chunk(ledger::PaymentView view,
+                       std::span<const std::uint32_t> owners,
+                       const FingerprintPlan& plan, std::size_t begin,
+                       std::size_t end) {
     const std::size_t offset = view.offset();
     const std::size_t n = end - begin;
 
@@ -25,12 +33,12 @@ IgPartial ig_map_chunk(ledger::PaymentView view, const FingerprintPlan& plan,
     partial.total_rows = n;
     partial.buckets.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t sender = columns.sender_id[offset + begin + i];
+        const std::uint32_t owner = owners[begin + i];
         auto [it, inserted] = partial.buckets.try_emplace(
-            fingerprints[i], IgPartial::Bucket{sender, 1, false});
+            fingerprints[i], IgPartial::Bucket{owner, 1, false});
         if (!inserted) {
             ++it->second.rows;
-            if (it->second.sender != sender) it->second.multi = true;
+            if (it->second.owner != owner) it->second.multi = true;
         }
     }
     return partial;
@@ -49,7 +57,7 @@ void ig_reduce(IgPartial& acc, IgPartial&& part) {
         auto [it, inserted] = acc.buckets.try_emplace(fp, bucket);
         if (!inserted) {
             it->second.rows += bucket.rows;
-            if (bucket.multi || it->second.sender != bucket.sender) {
+            if (bucket.multi || it->second.owner != bucket.owner) {
                 it->second.multi = true;
             }
         }
@@ -70,6 +78,24 @@ IgResult ig_finalize(const IgPartial& merged) {
     XRPL_INVARIANT(merged.buckets.size() <= result.total_payments,
                    "fingerprint buckets cannot outnumber payments");
     return result;
+}
+
+IgResult ig_scan(ledger::PaymentView view, std::span<const std::uint32_t> owners,
+                 const ResolutionConfig& config) {
+    XRPL_ASSERT(owners.size() == view.size(),
+                "the owner column must cover every row of the view");
+    const FingerprintPlan plan(view.columns(), config);
+    const exec::ChunkedView chunks(view);
+    const IgPartial merged = exec::map_reduce<IgPartial>(
+        chunks.chunk_count(),
+        [&](std::size_t c) {
+            const exec::ChunkedView::Bounds b = chunks.bounds(c);
+            return ig_map_chunk(view, owners, plan, b.begin, b.end);
+        },
+        [](IgPartial& acc, IgPartial&& part) {
+            ig_reduce(acc, std::move(part));
+        });
+    return ig_finalize(merged);
 }
 
 }  // namespace xrpl::core

@@ -45,37 +45,6 @@ PaperReference fig3_paper_reference(std::size_t index) noexcept {
     }
 }
 
-namespace {
-
-std::vector<IgStudyRow> attach_paper_references(std::vector<IgResult> results,
-                                                const std::vector<ResolutionConfig>& configs) {
-    std::vector<IgStudyRow> rows;
-    rows.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        IgStudyRow row;
-        row.config = configs[i];
-        row.result = results[i];
-        const PaperReference reference = fig3_paper_reference(i);
-        row.paper_value = reference.value;
-        row.paper_value_exact = reference.exact;
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-}  // namespace
-
-std::vector<IgStudyRow> run_ig_study(std::span<const ledger::TxRecord> records) {
-    const Deanonymizer deanonymizer(records);
-    const std::vector<ResolutionConfig> configs = fig3_configurations();
-    std::vector<IgResult> results;
-    results.reserve(configs.size());
-    for (const ResolutionConfig& config : configs) {
-        results.push_back(deanonymizer.information_gain(config));
-    }
-    return attach_paper_references(std::move(results), configs);
-}
-
 std::vector<IgStudyRow> run_ig_study(const ledger::PaymentColumns& payments) {
     return run_ig_study(payments.view());
 }
@@ -92,6 +61,7 @@ std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view) {
     const std::vector<ResolutionConfig> configs = fig3_configurations();
     const exec::ChunkedView chunks(view);
     const std::size_t k = chunks.chunk_count();
+    const std::span<const std::uint32_t> senders = sender_ids(view);
 
     std::vector<FingerprintPlan> plans;
     plans.reserve(configs.size());
@@ -105,13 +75,14 @@ std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view) {
         const std::size_t config = t / k;
         const std::size_t chunk = t % k;
         const exec::ChunkedView::Bounds b = chunks.bounds(chunk);
-        partials[config][chunk] = ig_map_chunk(view, plans[config], b.begin, b.end);
+        partials[config][chunk] =
+            ig_map_chunk(view, senders, plans[config], b.begin, b.end);
     });
 
     // Per-configuration ordered folds, themselves parallel across
     // configurations (each fold is independent, and within one
     // configuration partials merge strictly in chunk order).
-    std::vector<IgResult> results(configs.size());
+    std::vector<IgStudyRow> rows(configs.size());
     exec::ThreadPool::shared().run(configs.size(), [&](std::size_t config) {
         IgPartial merged;
         std::size_t folded = 0;
@@ -120,9 +91,15 @@ std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view) {
             ig_reduce(merged, std::move(partials[config][c]));
             ++folded;
         }
-        results[config] = ig_finalize(merged);
+        rows[config].result = ig_finalize(merged);
     });
-    return attach_paper_references(std::move(results), configs);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const PaperReference reference = fig3_paper_reference(i);
+        rows[i].config = configs[i];
+        rows[i].paper_value = reference.value;
+        rows[i].paper_value_exact = reference.exact;
+    }
+    return rows;
 }
 
 }  // namespace xrpl::core

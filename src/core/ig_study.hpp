@@ -4,7 +4,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/deanonymizer.hpp"
@@ -33,12 +32,9 @@ struct PaperReference {
 };
 [[nodiscard]] PaperReference fig3_paper_reference(std::size_t index) noexcept;
 
-/// Run the whole study over a payment history (legacy row path).
-[[nodiscard]] std::vector<IgStudyRow> run_ig_study(
-    std::span<const ledger::TxRecord> records);
-
-/// Column-native overloads: same IgResults, one batched fingerprint
-/// pass per configuration instead of two row scans.
+/// Run the whole study over a payment history: one batched
+/// fingerprint pass per configuration, all ten configurations on the
+/// shared pool at once.
 [[nodiscard]] std::vector<IgStudyRow> run_ig_study(
     const ledger::PaymentColumns& payments);
 [[nodiscard]] std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view);

@@ -1,9 +1,8 @@
 #include "core/mitigation.hpp"
 
 #include <string>
-#include <unordered_set>
 
-#include "core/fingerprint.hpp"
+#include "core/ig_accumulator.hpp"
 
 namespace xrpl::core {
 
@@ -17,99 +16,6 @@ ledger::AccountID wallet_id(const ledger::AccountID& owner, std::size_t index) {
 
 }  // namespace
 
-RotatedHistory apply_wallet_rotation(
-    std::span<const ledger::TxRecord> records, const WalletRotationConfig& config,
-    const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of) {
-    RotatedHistory out;
-    out.records.reserve(records.size());
-
-    const std::size_t pool =
-        config.wallets_per_sender == 0 ? 1 : config.wallets_per_sender;
-
-    // Round-robin cursor per owner: rotation "unique to every single
-    // transaction" in the limit pool >= payments.
-    std::unordered_map<ledger::AccountID, std::size_t> cursor;
-    std::unordered_set<ledger::AccountID> owners;
-
-    for (const ledger::TxRecord& record : records) {
-        ledger::TxRecord rotated = record;
-        const std::size_t index = cursor[record.sender]++ % pool;
-        const ledger::AccountID wallet = wallet_id(record.sender, index);
-        rotated.sender = wallet;
-        out.wallet_owner.emplace(wallet, record.sender);
-        owners.insert(record.sender);
-        out.records.push_back(rotated);
-    }
-
-    // Bootstrap pricing: every owner activates `pool` wallets, each of
-    // which must re-create the owner's trust lines to be able to pay
-    // (and to be paid — the paper notes the receiver must trust it too,
-    // which this lower bound does not even include).
-    for (const ledger::AccountID& owner : owners) {
-        const std::size_t lines = trustlines_of(owner);
-        out.wallets_created += pool;
-        out.trustlines_created += pool * lines;
-        out.xrp_reserve_cost +=
-            static_cast<double>(pool) * config.xrp_reserve_per_wallet +
-            static_cast<double>(pool * lines) * config.xrp_reserve_per_trustline;
-    }
-    return out;
-}
-
-IgResult linked_information_gain(const RotatedHistory& rotated,
-                                 const ResolutionConfig& config) {
-    // The attacker clusters wallets by activator; a bucket identifies
-    // a CLUSTER when all its payments map to the same owner.
-    struct Bucket {
-        ledger::AccountID owner;
-        bool multi = false;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(rotated.records.size());
-
-    const auto owner_of = [&](const ledger::AccountID& wallet) {
-        const auto it = rotated.wallet_owner.find(wallet);
-        return it == rotated.wallet_owner.end() ? wallet : it->second;
-    };
-
-    for (const ledger::TxRecord& record : rotated.records) {
-        const std::uint64_t fp = fingerprint(record, config);
-        const ledger::AccountID owner = owner_of(record.sender);
-        auto [it, inserted] = buckets.try_emplace(fp, Bucket{owner, false});
-        if (!inserted && !(it->second.owner == owner)) it->second.multi = true;
-    }
-
-    IgResult result;
-    result.total_payments = rotated.records.size();
-    for (const ledger::TxRecord& record : rotated.records) {
-        if (!buckets.at(fingerprint(record, config)).multi) {
-            ++result.uniquely_identified;
-        }
-    }
-    return result;
-}
-
-MitigationReport evaluate_wallet_rotation(
-    std::span<const ledger::TxRecord> records, const ResolutionConfig& resolution,
-    const WalletRotationConfig& config,
-    const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of) {
-    MitigationReport report;
-
-    const Deanonymizer baseline(records);
-    report.baseline = baseline.information_gain(resolution);
-
-    const RotatedHistory rotated =
-        apply_wallet_rotation(records, config, trustlines_of);
-    const Deanonymizer after(rotated.records);
-    report.rotated = after.information_gain(resolution);
-    report.linked = linked_information_gain(rotated, resolution);
-
-    report.wallets_created = rotated.wallets_created;
-    report.trustlines_created = rotated.trustlines_created;
-    report.xrp_reserve_cost = rotated.xrp_reserve_cost;
-    return report;
-}
-
 RotatedColumns apply_wallet_rotation(
     const ledger::PaymentColumns& payments, const WalletRotationConfig& config,
     const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of) {
@@ -120,8 +26,9 @@ RotatedColumns apply_wallet_rotation(
     const std::size_t pool =
         config.wallets_per_sender == 0 ? 1 : config.wallets_per_sender;
 
-    // The interner makes owners dense: build each owner's wallet pool
-    // at most once (the row path derives a base58 seed per payment).
+    // Round-robin cursor per owner: rotation "unique to every single
+    // transaction" in the limit pool >= payments. The interner makes
+    // owners dense, so each owner's wallet pool is built at most once.
     struct OwnerState {
         std::vector<std::uint32_t> wallets;  // interned wallet ids
         std::size_t cursor = 0;
@@ -145,6 +52,10 @@ RotatedColumns apply_wallet_rotation(
             owner_state.wallets[owner_state.cursor++ % pool];
     }
 
+    // Bootstrap pricing: every owner activates `pool` wallets, each of
+    // which must re-create the owner's trust lines to be able to pay
+    // (and to be paid — the paper notes the receiver must trust it too,
+    // which this lower bound does not even include).
     for (const auto& [owner, owner_state] : state) {
         const std::size_t lines = trustlines_of(out.payments.accounts.at(owner));
         out.wallets_created += pool;
@@ -158,29 +69,9 @@ RotatedColumns apply_wallet_rotation(
 
 IgResult linked_information_gain(const RotatedColumns& rotated,
                                  const ResolutionConfig& config) {
-    const std::vector<std::uint64_t> fingerprints =
-        fingerprint_column(rotated.payments.view(), config);
-
-    struct Bucket {
-        std::uint32_t owner;
-        bool multi = false;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(fingerprints.size());
-
-    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-        const std::uint32_t owner = rotated.owner_id[i];
-        auto [it, inserted] =
-            buckets.try_emplace(fingerprints[i], Bucket{owner, false});
-        if (!inserted && it->second.owner != owner) it->second.multi = true;
-    }
-
-    IgResult result;
-    result.total_payments = fingerprints.size();
-    for (const std::uint64_t fp : fingerprints) {
-        if (!buckets.at(fp).multi) ++result.uniquely_identified;
-    }
-    return result;
+    // The attacker clusters wallets by activator: the owner column is
+    // exactly the identity it recovers.
+    return ig_scan(rotated.payments.view(), rotated.owner_id, config);
 }
 
 MitigationReport evaluate_wallet_rotation(

@@ -18,15 +18,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "core/anonymity.hpp"
 #include "core/deanonymizer.hpp"
 #include "core/features.hpp"
 #include "ledger/payment_columns.hpp"
-#include "ledger/transaction.hpp"
 
 namespace xrpl::core {
 
@@ -39,9 +36,14 @@ struct WalletRotationConfig {
     double xrp_reserve_per_trustline = 5.0;
 };
 
-/// Outcome of rewriting a history under wallet rotation.
-struct RotatedHistory {
-    std::vector<ledger::TxRecord> records;
+/// Outcome of rewriting a history under wallet rotation: the wallet
+/// accounts are appended to the interner, the sender column is
+/// remapped, and the ground-truth owner of each payment rides along as
+/// a parallel column of interned ids.
+struct RotatedColumns {
+    ledger::PaymentColumns payments;
+    /// Per payment: interned id (in payments.accounts) of the owner.
+    std::vector<std::uint32_t> owner_id;
     /// Ground truth (and exactly what the linkage attack recovers):
     /// wallet -> owner.
     std::unordered_map<ledger::AccountID, ledger::AccountID> wallet_owner;
@@ -50,41 +52,18 @@ struct RotatedHistory {
     double xrp_reserve_cost = 0.0;
 };
 
-/// Rewrite `records` so each sender's payments are spread across its
-/// wallet pool. `trustlines_of` reports how many trust lines an owner
-/// holds (each wallet must re-create them to be able to pay at all).
-[[nodiscard]] RotatedHistory apply_wallet_rotation(
-    std::span<const ledger::TxRecord> records, const WalletRotationConfig& config,
-    const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of);
-
-/// IG over a rotated history after the activation-linkage attack:
-/// every wallet is mapped back to the cluster of its activator, so a
-/// fingerprint is "unique" when all its payments come from ONE
-/// cluster. With perfect linkage this equals the original IG.
-[[nodiscard]] IgResult linked_information_gain(const RotatedHistory& rotated,
-                                               const ResolutionConfig& config);
-
-/// Columnar counterpart of RotatedHistory: the rotated payments stay
-/// in columnar form (wallet accounts appended to the interner, the
-/// sender column remapped) and the ground-truth owner of each payment
-/// rides along as a parallel column of interned ids.
-struct RotatedColumns {
-    ledger::PaymentColumns payments;
-    /// Per payment: interned id (in payments.accounts) of the owner.
-    std::vector<std::uint32_t> owner_id;
-    std::unordered_map<ledger::AccountID, ledger::AccountID> wallet_owner;
-    std::uint64_t wallets_created = 0;
-    std::uint64_t trustlines_created = 0;
-    double xrp_reserve_cost = 0.0;
-};
-
-/// Column-native rotation: derives each owner's wallet pool once (the
-/// row path re-derives the wallet id per payment) and rewrites only
-/// the sender column.
+/// Spread each sender's payments round-robin across its wallet pool
+/// (each owner's pool is derived once). `trustlines_of` reports how
+/// many trust lines an owner holds: each wallet must re-create them
+/// to be able to pay at all.
 [[nodiscard]] RotatedColumns apply_wallet_rotation(
     const ledger::PaymentColumns& payments, const WalletRotationConfig& config,
     const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of);
 
+/// IG over a rotated history after the activation-linkage attack:
+/// every wallet is mapped back to its owner, so a fingerprint is
+/// "unique" when all its payments come from ONE owner. With perfect
+/// linkage this equals the original IG.
 [[nodiscard]] IgResult linked_information_gain(const RotatedColumns& rotated,
                                                const ResolutionConfig& config);
 
@@ -98,13 +77,6 @@ struct MitigationReport {
     double xrp_reserve_cost = 0.0;
 };
 
-[[nodiscard]] MitigationReport evaluate_wallet_rotation(
-    std::span<const ledger::TxRecord> records, const ResolutionConfig& resolution,
-    const WalletRotationConfig& config,
-    const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of);
-
-/// Column-native evaluation; same report, one batched fingerprint
-/// pass per IG instead of two row scans each.
 [[nodiscard]] MitigationReport evaluate_wallet_rotation(
     const ledger::PaymentColumns& payments, const ResolutionConfig& resolution,
     const WalletRotationConfig& config,

@@ -7,8 +7,8 @@
 // each slice clones the snapshot, draws from streams derived from
 // root/"slice"/i, and its shard merges strictly in slice order — so
 // output is bit-identical for every XRPL_THREADS width. Collects
-// everything the study and the appendix figures consume: the compact
-// TxRecord rows (Fig 3), per-currency counts and amount samples
+// everything the study and the appendix figures consume: the columnar
+// payment store (Fig 3), per-currency counts and amount samples
 // (Fig 4, Fig 5), hop and parallel-path histograms (Fig 6),
 // per-intermediary appearance counts (Fig 7(a)), and the final ledger
 // state (trust and balances for Fig 7(b,c), the snapshot for
@@ -24,7 +24,6 @@
 #include "datagen/workload.hpp"
 #include "ledger/ledger.hpp"
 #include "ledger/payment_columns.hpp"
-#include "ledger/transaction.hpp"
 #include "paths/payment_engine.hpp"
 
 namespace xrpl::datagen {
@@ -32,14 +31,9 @@ namespace xrpl::datagen {
 struct GeneratedHistory {
     ledger::LedgerState ledger;
     Population population;
-    /// The canonical payment dataset: columnar, dictionary-encoded.
-    /// Consumers needing AoS rows call to_records() (a copy) or
-    /// payments.view() (zero-copy).
+    /// The payment dataset: columnar, dictionary-encoded. Scans take
+    /// payments.view().
     ledger::PaymentColumns payments;
-
-    [[nodiscard]] std::vector<ledger::TxRecord> to_records() const {
-        return payments.to_records();
-    }
 
     // --- aggregates, filled while the history streams past -----------
     std::unordered_map<ledger::Currency, std::uint64_t> currency_counts;

@@ -1,7 +1,5 @@
 #include "datagen/spam.hpp"
 
-#include <span>
-
 namespace xrpl::datagen {
 
 const char* spam_kind_name(SpamKind kind) noexcept {
@@ -13,48 +11,6 @@ const char* spam_kind_name(SpamKind kind) noexcept {
         case SpamKind::kGambling: return "gambling";
     }
     return "?";
-}
-
-SpamKind classify(const ledger::TxRecord& record,
-                  const Population& population) noexcept {
-    if (record.destination == population.account_zero ||
-        record.sender == population.account_zero) {
-        return SpamKind::kAccountZeroPingPong;
-    }
-    if (record.destination == population.ripple_spin) {
-        return SpamKind::kGambling;
-    }
-    if (record.currency == cur("MTL")) {
-        // MTL traffic is recognizable by its absurd amounts (~1e9).
-        if (record.amount.to_double() > 1e6) return SpamKind::kMtlCampaign;
-    }
-    if (record.currency == cur("CCK")) {
-        return SpamKind::kCckCampaign;
-    }
-    return SpamKind::kOrganic;
-}
-
-namespace {
-
-void tally(SpamBreakdown& breakdown, SpamKind kind) noexcept {
-    switch (kind) {
-        case SpamKind::kOrganic: ++breakdown.organic; break;
-        case SpamKind::kMtlCampaign: ++breakdown.mtl; break;
-        case SpamKind::kCckCampaign: ++breakdown.cck; break;
-        case SpamKind::kAccountZeroPingPong: ++breakdown.account_zero; break;
-        case SpamKind::kGambling: ++breakdown.gambling; break;
-    }
-}
-
-}  // namespace
-
-SpamBreakdown spam_breakdown(std::span<const ledger::TxRecord> records,
-                             const Population& population) {
-    SpamBreakdown breakdown;
-    for (const ledger::TxRecord& record : records) {
-        tally(breakdown, classify(record, population));
-    }
-    return breakdown;
 }
 
 SpamBreakdown spam_breakdown(ledger::PaymentView view,
@@ -77,35 +33,28 @@ SpamBreakdown spam_breakdown(ledger::PaymentView view,
     const std::uint16_t mtl = currency_marker(cur("MTL"));
     const std::uint16_t cck = currency_marker(cur("CCK"));
 
+    const auto amount = [&](std::size_t r) {
+        return ledger::IouAmount::from_mantissa_exponent(
+                   columns.amount_mantissa[r], columns.amount_exponent[r])
+            .to_double();
+    };
+
     SpamBreakdown breakdown;
-    for (std::size_t i = 0; i < view.size(); ++i) {
-        const std::size_t r = offset + i;
-        // Same decision order as classify().
+    for (std::size_t r = offset; r < offset + view.size(); ++r) {
+        // First match wins, in the order spam.hpp documents.
+        const std::uint16_t currency = columns.currency_id[r];
         if (columns.dest_id[r] == account_zero ||
             columns.sender_id[r] == account_zero) {
-            tally(breakdown, SpamKind::kAccountZeroPingPong);
-            continue;
+            ++breakdown.account_zero;
+        } else if (columns.dest_id[r] == ripple_spin) {
+            ++breakdown.gambling;
+        } else if (currency == mtl && currency != kNoCurrency && amount(r) > 1e6) {
+            ++breakdown.mtl;
+        } else if (currency == cck && currency != kNoCurrency) {
+            ++breakdown.cck;
+        } else {
+            ++breakdown.organic;
         }
-        if (columns.dest_id[r] == ripple_spin) {
-            tally(breakdown, SpamKind::kGambling);
-            continue;
-        }
-        const std::uint16_t currency = columns.currency_id[r];
-        if (currency == mtl && currency != kNoCurrency) {
-            const double amount =
-                ledger::IouAmount::from_mantissa_exponent(
-                    columns.amount_mantissa[r], columns.amount_exponent[r])
-                    .to_double();
-            if (amount > 1e6) {
-                tally(breakdown, SpamKind::kMtlCampaign);
-                continue;
-            }
-        }
-        if (currency == cck && currency != kNoCurrency) {
-            tally(breakdown, SpamKind::kCckCampaign);
-            continue;
-        }
-        tally(breakdown, SpamKind::kOrganic);
     }
     return breakdown;
 }

@@ -8,11 +8,8 @@
 // annotate the same anomalies the paper calls out.
 #pragma once
 
-#include <span>
-
 #include "datagen/population.hpp"
 #include "ledger/payment_columns.hpp"
-#include "ledger/transaction.hpp"
 
 namespace xrpl::datagen {
 
@@ -25,10 +22,6 @@ enum class SpamKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* spam_kind_name(SpamKind kind) noexcept;
-
-/// Classify one payment record against the known campaign fingerprints.
-[[nodiscard]] SpamKind classify(const ledger::TxRecord& record,
-                                const Population& population) noexcept;
 
 /// Aggregate spam shares over a history.
 struct SpamBreakdown {
@@ -43,11 +36,11 @@ struct SpamBreakdown {
     }
 };
 
-[[nodiscard]] SpamBreakdown spam_breakdown(
-    std::span<const ledger::TxRecord> records, const Population& population);
-
-/// Column-native overload: resolves the campaign accounts/currencies to
-/// interned ids once, then classifies on the integer columns.
+/// Classify every payment in `view`, first match wins: ACCOUNT_ZERO as
+/// sender or destination, then ~Ripple Spin as destination, then MTL
+/// above 1e6 (the campaign's absurd amounts), then any CCK; the rest
+/// is organic. The campaign accounts/currencies resolve to interned
+/// ids once, then the rule runs on the integer columns.
 [[nodiscard]] SpamBreakdown spam_breakdown(ledger::PaymentView view,
                                            const Population& population);
 

@@ -79,13 +79,6 @@ TxRecord PaymentColumns::row(std::size_t i) const noexcept {
     return record;
 }
 
-std::vector<TxRecord> PaymentColumns::to_records() const {
-    std::vector<TxRecord> records;
-    records.reserve(size());
-    for (std::size_t i = 0; i < size(); ++i) records.push_back(row(i));
-    return records;
-}
-
 PaymentColumns PaymentColumns::from_records(std::span<const TxRecord> records) {
     PaymentColumns columns;
     columns.reserve(records.size());

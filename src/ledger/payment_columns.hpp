@@ -1,5 +1,5 @@
-// Columnar payment dataset — the canonical in-memory representation
-// of a payment history.
+// Columnar payment dataset — THE in-memory representation of a
+// payment history.
 //
 // The de-anonymization study scans the same 23M-payment history once
 // per resolution configuration. Storing payments as an array of
@@ -12,16 +12,15 @@
 // split into their decimal mantissa/exponent pair. Per-column
 // precomputation (rounding a currency group once, truncating the time
 // column once, hashing each distinct account once) then amortizes
-// across all 23M rows — the same canonical-storage/row-view split
-// rippled's SHAMap adapters apply.
+// across all 23M rows.
 //
-// PaymentView is the zero-copy row adapter: legacy consumers iterate
-// it and receive TxRecord-shaped rows reconstructed on the fly, so
-// the row-oriented API keeps working during (and after) migration.
+// TxRecord is only the row type at the store's edges: push_back and
+// from_records intern rows in, row(i) reconstructs one row out.
+// PaymentView is a zero-copy (store, offset, count) window that every
+// scan takes; scans read the columns through columns()/offset().
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -96,11 +95,8 @@ struct PaymentColumns {
     void reserve(std::size_t n);
     void push_back(const TxRecord& record);
 
-    /// Reconstruct row `i` as a legacy TxRecord.
+    /// Reconstruct row `i` as a TxRecord.
     [[nodiscard]] TxRecord row(std::size_t i) const noexcept;
-
-    /// Materialize the whole store as rows (migration escape hatch).
-    [[nodiscard]] std::vector<TxRecord> to_records() const;
 
     /// Zero-copy row view over all payments.
     [[nodiscard]] PaymentView view() const noexcept;
@@ -143,8 +139,7 @@ struct ColumnInfo {
 [[nodiscard]] std::string columns_fingerprint(const PaymentColumns& columns);
 
 /// Zero-copy window [offset, offset+count) over a PaymentColumns.
-/// Iterating yields TxRecord-shaped rows reconstructed on the fly;
-/// column-native consumers reach through columns()/offset() instead.
+/// Scans reach the rows through columns()/offset().
 class PaymentView {
 public:
     PaymentView() noexcept = default;
@@ -154,12 +149,6 @@ public:
 
     [[nodiscard]] std::size_t size() const noexcept { return count_; }
     [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-
-    [[nodiscard]] TxRecord operator[](std::size_t i) const noexcept {
-        return columns_->row(offset_ + i);
-    }
-    [[nodiscard]] TxRecord front() const noexcept { return (*this)[0]; }
-    [[nodiscard]] TxRecord back() const noexcept { return (*this)[count_ - 1]; }
 
     /// The first `n` rows (clamped).
     [[nodiscard]] PaymentView prefix(std::size_t n) const noexcept {
@@ -180,40 +169,6 @@ public:
         return *columns_;
     }
     [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
-
-    class iterator {
-    public:
-        using iterator_category = std::input_iterator_tag;
-        using value_type = TxRecord;
-        using difference_type = std::ptrdiff_t;
-        using pointer = void;
-        using reference = TxRecord;
-
-        iterator() noexcept = default;
-        iterator(const PaymentView* view, std::size_t i) noexcept
-            : view_(view), i_(i) {}
-
-        TxRecord operator*() const noexcept { return (*view_)[i_]; }
-        iterator& operator++() noexcept {
-            ++i_;
-            return *this;
-        }
-        iterator operator++(int) noexcept {
-            iterator copy = *this;
-            ++i_;
-            return copy;
-        }
-        friend bool operator==(const iterator& a, const iterator& b) noexcept {
-            return a.i_ == b.i_;
-        }
-
-    private:
-        const PaymentView* view_ = nullptr;
-        std::size_t i_ = 0;
-    };
-
-    [[nodiscard]] iterator begin() const noexcept { return {this, 0}; }
-    [[nodiscard]] iterator end() const noexcept { return {this, count_}; }
 
 private:
     const PaymentColumns* columns_ = nullptr;

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-// The record-span overload is deprecated (thin shim over the columnar
-// scan) but still part of the API surface; this file keeps it covered.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace xrpl::analytics {
 namespace {
 
@@ -22,11 +18,13 @@ TEST(NetworkStatsTest, CountsAccountsLinesAndActivity) {
     state.set_trust(a, b, Currency::from_code("USD"), IouAmount::from_double(10));
     state.set_trust(a, c, Currency::from_code("USD"), IouAmount::from_double(10));
 
-    std::vector<ledger::TxRecord> records(1);
-    records[0].sender = a;
-    records[0].destination = b;
+    ledger::TxRecord payment;
+    payment.sender = a;
+    payment.destination = b;
+    ledger::PaymentColumns payments;
+    payments.push_back(payment);
 
-    const NetworkStats stats = compute_network_stats(state, records);
+    const NetworkStats stats = compute_network_stats(state, payments.view());
     EXPECT_EQ(stats.accounts, 3u);
     EXPECT_EQ(stats.trust_lines, 2u);
     EXPECT_EQ(stats.active_senders, 1u);
@@ -39,8 +37,8 @@ TEST(NetworkStatsTest, CountsAccountsLinesAndActivity) {
 
 TEST(NetworkStatsTest, EmptyWorld) {
     ledger::LedgerState state;
-    const NetworkStats stats =
-        compute_network_stats(state, std::vector<ledger::TxRecord>{});
+    const ledger::PaymentColumns payments;
+    const NetworkStats stats = compute_network_stats(state, payments.view());
     EXPECT_EQ(stats.accounts, 0u);
     EXPECT_DOUBLE_EQ(stats.mean_degree, 0.0);
 }

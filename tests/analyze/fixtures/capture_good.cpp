@@ -1,6 +1,7 @@
 // Analyzer fixture: the sanctioned shapes — disjoint per-slot writes,
-// body-owned locals, chunk partials for the ordered merge, and an
-// annotated deliberately-shared histogram. The capture pass must stay
+// body-owned locals, chunk partials for the ordered merge, an
+// annotated deliberately-shared histogram, and a local that shares
+// its name with another function's static. The capture pass must stay
 // silent. Never compiled; tools/analyze --self-test pins this.
 #include <cstddef>
 #include <vector>
@@ -28,6 +29,25 @@ std::size_t folded(const std::vector<std::size_t>& rows) {
             std::size_t local = 0;
             local += rows[c];  // body-owned partial
             return local;
+        },
+        [](std::size_t& acc, std::size_t&& part) { acc += part; });
+}
+
+std::size_t counted(std::size_t n) {
+    static obs::Counter& chunks = obs::counter("fixture.chunks");
+    chunks.add();
+    return n;
+}
+
+// `chunks` here is this function's own const local, not counted()'s
+// static: a function-local static is invisible outside its function.
+std::size_t chunk_rows(ledger::PaymentView view) {
+    const exec::ChunkedView chunks(view);
+    return exec::map_reduce<std::size_t>(
+        chunks.chunk_count(),
+        [&](std::size_t c) {
+            const exec::ChunkedView::Bounds b = chunks.bounds(c);
+            return b.end - b.begin;
         },
         [](std::size_t& acc, std::size_t&& part) { acc += part; });
 }

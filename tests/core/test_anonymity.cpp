@@ -14,6 +14,7 @@ namespace {
 using ledger::AccountID;
 using ledger::Currency;
 using ledger::IouAmount;
+using ledger::PaymentColumns;
 using ledger::TxRecord;
 
 TxRecord record(const std::string& sender, const std::string& destination,
@@ -32,8 +33,9 @@ TEST(AnonymityTest, SingletonBucketsAreSetSizeOne) {
         record("a", "x", 100.0, 1),
         record("b", "y", 200.0, 2),
     };
+    const PaymentColumns payments = PaymentColumns::from_records(records);
     const AnonymityProfile profile =
-        analyze_anonymity(records, full_resolution());
+        analyze_anonymity(payments.view(), full_resolution());
     EXPECT_EQ(profile.total_payments(), 2u);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 1.0);
     EXPECT_DOUBLE_EQ(profile.mean_set_size(), 1.0);
@@ -47,8 +49,9 @@ TEST(AnonymityTest, CollidingSendersGrowTheSet) {
         record("c", "shop", 100.0, 1),
         record("d", "other", 555.0, 9),
     };
+    const PaymentColumns payments = PaymentColumns::from_records(records);
     const AnonymityProfile profile =
-        analyze_anonymity(records, full_resolution());
+        analyze_anonymity(payments.view(), full_resolution());
     EXPECT_EQ(profile.total_payments(), 4u);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 0.25);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(3), 1.0);
@@ -61,8 +64,9 @@ TEST(AnonymityTest, RepeatSameSenderStaysSetSizeOne) {
         record("a", "shop", 100.0, 1),
         record("a", "shop", 100.0, 1),
     };
+    const PaymentColumns payments = PaymentColumns::from_records(records);
     const AnonymityProfile profile =
-        analyze_anonymity(records, full_resolution());
+        analyze_anonymity(payments.view(), full_resolution());
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 1.0);
 }
 
@@ -75,9 +79,10 @@ TEST(AnonymityTest, IdentifiableWithinOneEqualsInformationGain) {
                                  100.0 * static_cast<double>(rng.uniform_u64(1, 5)),
                                  static_cast<std::int64_t>(rng.uniform_u64(0, 500))));
     }
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     for (const ResolutionConfig& config : fig3_configurations()) {
-        const AnonymityProfile profile = analyze_anonymity(records, config);
+        const AnonymityProfile profile = analyze_anonymity(payments.view(), config);
         const IgResult ig = deanonymizer.information_gain(config);
         EXPECT_NEAR(profile.identifiable_within(1), ig.information_gain(), 1e-12)
             << config.label();
@@ -93,23 +98,38 @@ TEST(AnonymityTest, CoarseningGrowsAnonymitySets) {
                                  rng.lognormal(3.0, 2.0),
                                  static_cast<std::int64_t>(rng.uniform_u64(0, 50'000))));
     }
-    const AnonymityProfile fine = analyze_anonymity(records, full_resolution());
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const AnonymityProfile fine =
+        analyze_anonymity(payments.view(), full_resolution());
     ResolutionConfig coarse;
     coarse.amount = AmountResolution::kLow;
     coarse.time = util::TimeResolution::kDays;
-    const AnonymityProfile blurred = analyze_anonymity(records, coarse);
+    const AnonymityProfile blurred = analyze_anonymity(payments.view(), coarse);
     EXPECT_GE(blurred.mean_set_size(), fine.mean_set_size());
     EXPECT_LE(blurred.identifiable_within(1), fine.identifiable_within(1));
     EXPECT_LE(blurred.identifiable_within(5), fine.identifiable_within(5) + 1e-12);
 }
 
 TEST(AnonymityTest, EmptyHistoryIsSafe) {
+    const PaymentColumns payments;
     const AnonymityProfile profile =
-        analyze_anonymity(std::vector<TxRecord>{}, full_resolution());
+        analyze_anonymity(payments.view(), full_resolution());
     EXPECT_EQ(profile.total_payments(), 0u);
     EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 0.0);
     EXPECT_DOUBLE_EQ(profile.mean_set_size(), 0.0);
     EXPECT_EQ(profile.set_size_quantile(0.5), 0u);
+}
+
+TEST(AnonymityTest, SetSizeQuantileCoversTheFraction) {
+    // One payment at set size 1, two at set size 2: k = 1 covers only
+    // a third of the payments, so the median needs k = 2.
+    AnonymityProfile profile;
+    profile.add(1, 1);
+    profile.add(2, 2);
+    EXPECT_DOUBLE_EQ(profile.identifiable_within(1), 1.0 / 3.0);
+    EXPECT_EQ(profile.set_size_quantile(0.5), 2u);
+    EXPECT_EQ(profile.set_size_quantile(1.0 / 3.0), 1u);
+    EXPECT_EQ(profile.set_size_quantile(1.0), 2u);
 }
 
 }  // namespace

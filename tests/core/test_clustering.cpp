@@ -116,9 +116,11 @@ TEST(ClusteredIgTest, IdentityClusteringEqualsPlainIg) {
                                  static_cast<std::int64_t>(rng.uniform_u64(0, 3'000))));
     }
     const AccountClusters empty;
-    const Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     for (const auto& config : fig3_configurations()) {
-        EXPECT_EQ(clustered_information_gain(records, config, empty)
+        EXPECT_EQ(clustered_information_gain(payments.view(), config, empty)
                       .uniquely_identified,
                   deanonymizer.information_gain(config).uniquely_identified)
             << config.label();
@@ -133,14 +135,16 @@ TEST(ClusteredIgTest, ClusteringRecoversIdentificationAcrossWallets) {
         record("wallet-1", 40.0, 100),
         record("wallet-2", 40.0, 100),  // same fingerprint, other wallet
     };
-    const Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     EXPECT_DOUBLE_EQ(
         deanonymizer.information_gain(full_resolution()).information_gain(), 0.0);
 
     AccountClusters clusters;
     clusters.link(acc("wallet-1"), acc("wallet-2"));
     EXPECT_DOUBLE_EQ(
-        clustered_information_gain(records, full_resolution(), clusters)
+        clustered_information_gain(payments.view(), full_resolution(), clusters)
             .information_gain(),
         1.0);
 }
@@ -159,9 +163,11 @@ TEST(ClusteredIgTest, ClusteringNeverReducesIdentification) {
         clusters.link(acc("w" + std::to_string(w)),
                       acc("w" + std::to_string(w + 1)));
     }
-    const Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     for (const auto& config : fig3_configurations()) {
-        EXPECT_GE(clustered_information_gain(records, config, clusters)
+        EXPECT_GE(clustered_information_gain(payments.view(), config, clusters)
                       .uniquely_identified,
                   deanonymizer.information_gain(config).uniquely_identified)
             << config.label();

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace xrpl::core {
@@ -11,6 +13,7 @@ namespace {
 using ledger::AccountID;
 using ledger::Currency;
 using ledger::IouAmount;
+using ledger::PaymentColumns;
 using ledger::TxRecord;
 
 TxRecord record(const std::string& sender, const std::string& destination,
@@ -30,7 +33,8 @@ TEST(DeanonymizerTest, AllUniqueWhenFeaturesDistinct) {
         record("bob", "shop", "USD", 200.0, 20),
         record("carol", "shop", "USD", 300.0, 30),
     };
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     const IgResult ig = deanonymizer.information_gain(full_resolution());
     EXPECT_EQ(ig.total_payments, 3u);
     EXPECT_EQ(ig.uniquely_identified, 3u);
@@ -44,7 +48,8 @@ TEST(DeanonymizerTest, SameSenderCollisionsStillIdentify) {
         record("alice", "shop", "USD", 100.0, 10),
         record("alice", "shop", "USD", 100.0, 10),
     };
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     EXPECT_DOUBLE_EQ(
         deanonymizer.information_gain(full_resolution()).information_gain(), 1.0);
 }
@@ -55,7 +60,8 @@ TEST(DeanonymizerTest, CrossSenderCollisionDestroysIdentification) {
         record("bob", "shop", "USD", 100.0, 10),  // same fingerprint
         record("carol", "cafe", "USD", 500.0, 99),
     };
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     const IgResult ig = deanonymizer.information_gain(full_resolution());
     EXPECT_EQ(ig.uniquely_identified, 1u);  // only carol's
     EXPECT_NEAR(ig.information_gain(), 1.0 / 3.0, 1e-12);
@@ -69,7 +75,8 @@ TEST(DeanonymizerTest, CoarseningReducesInformationGain) {
         records.push_back(
             record("user" + std::to_string(i), "shop", "USD", 100.0, 100 + i));
     }
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     EXPECT_DOUBLE_EQ(
         deanonymizer.information_gain(full_resolution()).information_gain(), 1.0);
     ResolutionConfig coarse = full_resolution();
@@ -80,7 +87,8 @@ TEST(DeanonymizerTest, CoarseningReducesInformationGain) {
 
 TEST(DeanonymizerTest, EmptyHistory) {
     const std::vector<TxRecord> records;
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     const IgResult ig = deanonymizer.information_gain(full_resolution());
     EXPECT_EQ(ig.total_payments, 0u);
     EXPECT_DOUBLE_EQ(ig.information_gain(), 0.0);
@@ -94,7 +102,8 @@ TEST(DeanonymizerTest, AttackFindsTheLatteSender) {
         record("alice", "bar", "USD", 12.0, 50'000),
         record("carol", "grocer", "USD", 4.5, 90'000),
     };
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
 
     TxRecord observation = record("UNKNOWN", "bar", "USD", 4.5, 1000);
     const auto candidates = deanonymizer.attack(observation, full_resolution());
@@ -107,7 +116,8 @@ TEST(DeanonymizerTest, AttackReturnsAllCandidatesWhenAmbiguous) {
         record("bob", "bar", "USD", 4.5, 1000),
         record("mallory", "bar", "USD", 4.9, 1000),  // same rounded amount
     };
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     TxRecord observation = record("UNKNOWN", "bar", "USD", 4.5, 1000);
     const auto candidates = deanonymizer.attack(observation, full_resolution());
     EXPECT_EQ(candidates.size(), 2u);
@@ -115,7 +125,8 @@ TEST(DeanonymizerTest, AttackReturnsAllCandidatesWhenAmbiguous) {
 
 TEST(DeanonymizerTest, AttackWithNoMatchReturnsEmpty) {
     std::vector<TxRecord> records = {record("bob", "bar", "USD", 4.5, 1000)};
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     TxRecord observation = record("UNKNOWN", "bar", "EUR", 4.5, 1000);
     EXPECT_TRUE(deanonymizer.attack(observation, full_resolution()).empty());
 }
@@ -127,7 +138,8 @@ TEST(DeanonymizerTest, HistoryOfReturnsEntireFinancialLife) {
         record("alice", "bar", "USD", 3.0, 3000),
         record("bob", "grocer", "USD", 55.0, 4000),
     };
-    const Deanonymizer deanonymizer(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
     const auto history = deanonymizer.history_of(AccountID::from_seed("bob"));
     EXPECT_EQ(history.size(), 3u);
     for (const TxRecord& r : history) {
@@ -142,8 +154,9 @@ TEST(AttackIndexTest, MatchesDeanonymizerAttack) {
                                  "shop" + std::to_string(i % 3), "USD",
                                  100.0 * (i % 5), i));
     }
-    const Deanonymizer deanonymizer(records);
-    const AttackIndex index(records, full_resolution());
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const Deanonymizer deanonymizer(payments);
+    const AttackIndex index(payments, full_resolution());
     for (int i = 0; i < 100; i += 13) {
         const auto via_scan = deanonymizer.attack(records[static_cast<std::size_t>(i)],
                                                   full_resolution());
@@ -158,7 +171,8 @@ TEST(AttackIndexTest, MatchesAreRecordIndices) {
         record("bob", "bar", "USD", 4.5, 1000),
         record("alice", "bar", "USD", 999.0, 2000),
     };
-    const AttackIndex index(records, full_resolution());
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const AttackIndex index(payments, full_resolution());
     const auto& matches = index.matches(records[0]);
     ASSERT_EQ(matches.size(), 1u);
     EXPECT_EQ(matches[0], 0u);
@@ -172,16 +186,19 @@ TEST(AttackIndexTest, ColumnarIndexMatchesRowIndex) {
                                  "shop" + std::to_string(i % 4), "USD",
                                  50.0 * (i % 6), i / 2));
     }
-    const ledger::PaymentColumns columns =
-        ledger::PaymentColumns::from_records(records);
+    const PaymentColumns payments = PaymentColumns::from_records(records);
+    const AttackIndex index(payments, full_resolution());
 
-    const AttackIndex row_index(records, full_resolution());
-    const AttackIndex col_index(columns, full_resolution());
-    EXPECT_EQ(row_index.bucket_count(), col_index.bucket_count());
+    // Reference index built one row at a time with the scalar
+    // fingerprint: the same buckets, each ascending.
+    std::map<std::uint64_t, std::vector<std::uint32_t>> rows;
+    for (std::uint32_t i = 0; i < records.size(); ++i) {
+        rows[fingerprint(records[i], full_resolution())].push_back(i);
+    }
+    EXPECT_EQ(index.bucket_count(), rows.size());
     for (std::size_t i = 0; i < records.size(); i += 7) {
-        EXPECT_EQ(row_index.matches(records[i]), col_index.matches(records[i]));
-        EXPECT_EQ(row_index.candidate_senders(records[i]),
-                  col_index.candidate_senders(records[i]));
+        EXPECT_EQ(index.matches(records[i]),
+                  rows.at(fingerprint(records[i], full_resolution())));
     }
 }
 
@@ -199,31 +216,48 @@ TEST(AttackIndexTest, ViewIndexCoversOnlyThePrefix) {
 }
 
 TEST(DeanonymizerTest, ColumnarConstructorsAgreeWithRows) {
-    std::vector<TxRecord> records = {
+    const std::vector<TxRecord> records = {
         record("alice", "shop", "USD", 100.0, 10),
         record("bob", "shop", "USD", 100.0, 10),
         record("carol", "cafe", "USD", 500.0, 99),
     };
-    const ledger::PaymentColumns columns =
-        ledger::PaymentColumns::from_records(records);
+    const PaymentColumns columns = PaymentColumns::from_records(records);
 
-    const Deanonymizer rows(records);
-    const Deanonymizer cols(columns);
+    const Deanonymizer store(columns);
+    const Deanonymizer whole(columns.view());
     const Deanonymizer window(columns.view().prefix(2));
 
-    const IgResult row_ig = rows.information_gain(full_resolution());
-    const IgResult col_ig = cols.information_gain(full_resolution());
-    EXPECT_EQ(row_ig.total_payments, col_ig.total_payments);
-    EXPECT_EQ(row_ig.uniquely_identified, col_ig.uniquely_identified);
+    const IgResult store_ig = store.information_gain(full_resolution());
+    const IgResult whole_ig = whole.information_gain(full_resolution());
+    EXPECT_EQ(store_ig.total_payments, whole_ig.total_payments);
+    EXPECT_EQ(store_ig.uniquely_identified, whole_ig.uniquely_identified);
+    EXPECT_EQ(store_ig.uniquely_identified, 1u);  // only carol's
 
     // The two-payment window holds only the colliding pair.
     const IgResult window_ig = window.information_gain(full_resolution());
     EXPECT_EQ(window_ig.total_payments, 2u);
     EXPECT_EQ(window_ig.uniquely_identified, 0u);
+    EXPECT_EQ(window.record_count(), 2u);
+    EXPECT_TRUE(window.history_of(AccountID::from_seed("carol")).empty());
+    EXPECT_TRUE(window.attack(records[2], full_resolution()).empty());
 
-    EXPECT_EQ(cols.history_of(AccountID::from_seed("carol")).size(), 1u);
-    EXPECT_EQ(cols.attack(records[2], full_resolution()),
-              rows.attack(records[2], full_resolution()));
+    EXPECT_EQ(store.history_of(AccountID::from_seed("carol")).size(), 1u);
+    EXPECT_EQ(store.attack(records[2], full_resolution()),
+              std::vector<AccountID>{records[2].sender});
+    EXPECT_EQ(whole.attack(records[2], full_resolution()),
+              std::vector<AccountID>{records[2].sender});
+}
+
+TEST(DeanonymizerTest, StoreConstructorsRejectTemporaries) {
+    // Both classes keep a PaymentView into the store, so a temporary
+    // store would leave the view dangling: the rvalue constructors are
+    // deleted.
+    static_assert(!std::is_constructible_v<Deanonymizer, PaymentColumns>);
+    static_assert(
+        !std::is_constructible_v<AttackIndex, PaymentColumns, ResolutionConfig>);
+    static_assert(std::is_constructible_v<Deanonymizer, const PaymentColumns&>);
+    static_assert(std::is_constructible_v<AttackIndex, const PaymentColumns&,
+                                          ResolutionConfig>);
 }
 
 }  // namespace

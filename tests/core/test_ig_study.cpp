@@ -41,16 +41,16 @@ TEST(IgStudyTest, PaperReferencesMatchQuotedValues) {
 /// A small synthetic history with the qualitative structure of the
 /// real one: ledger closes every ~5 s, a few payments per close,
 /// habitual small payments plus a heavy tail.
-std::vector<TxRecord> synthetic_history(std::size_t n, std::uint64_t seed) {
+ledger::PaymentColumns synthetic_history(std::size_t n, std::uint64_t seed) {
     util::Rng rng(seed);
-    std::vector<TxRecord> records;
-    records.reserve(n);
+    ledger::PaymentColumns payments;
+    payments.reserve(n);
     std::int64_t now = 0;
-    while (records.size() < n) {
+    while (payments.size() < n) {
         now += 5;
         const std::uint32_t burst =
             static_cast<std::uint32_t>(rng.uniform_u64(0, 3));
-        for (std::uint32_t i = 0; i < burst && records.size() < n; ++i) {
+        for (std::uint32_t i = 0; i < burst && payments.size() < n; ++i) {
             TxRecord r;
             r.sender = AccountID::from_seed(
                 "user" + std::to_string(rng.uniform_u64(0, 400)));
@@ -59,15 +59,15 @@ std::vector<TxRecord> synthetic_history(std::size_t n, std::uint64_t seed) {
             r.currency = Currency::from_code(rng.bernoulli(0.5) ? "USD" : "BTC");
             r.amount = IouAmount::from_double(rng.lognormal(3.0, 2.5));
             r.time = util::RippleTime{now};
-            records.push_back(r);
+            payments.push_back(r);
         }
     }
-    return records;
+    return payments;
 }
 
 TEST(IgStudyTest, MonotoneDegradationAcrossTheResolutionLadder) {
-    const auto records = synthetic_history(20'000, 5);
-    const auto rows = run_ig_study(records);
+    const auto payments = synthetic_history(20'000, 5);
+    const auto rows = run_ig_study(payments);
     ASSERT_EQ(rows.size(), 10u);
 
     const auto ig = [&](std::size_t i) { return rows[i].result.information_gain(); };
@@ -90,8 +90,8 @@ TEST(IgStudyTest, TimestampIsTheDominantFeature) {
     // "T's information gain not only is higher than A's, but is also
     // the highest among all the features": removing T hurts more than
     // removing any other single feature.
-    const auto records = synthetic_history(20'000, 6);
-    const auto rows = run_ig_study(records);
+    const auto payments = synthetic_history(20'000, 6);
+    const auto rows = run_ig_study(payments);
     const double without_c = rows[1].result.information_gain();
     const double without_d = rows[2].result.information_gain();
     const double without_a = rows[3].result.information_gain();
@@ -102,8 +102,8 @@ TEST(IgStudyTest, TimestampIsTheDominantFeature) {
 }
 
 TEST(IgStudyTest, FullResolutionNearlyPerfect) {
-    const auto records = synthetic_history(20'000, 7);
-    const auto rows = run_ig_study(records);
+    const auto payments = synthetic_history(20'000, 7);
+    const auto rows = run_ig_study(payments);
     EXPECT_GT(rows[0].result.information_gain(), 0.95);
     // And the weakest configuration is far below it.
     EXPECT_LT(rows[9].result.information_gain(),
@@ -111,8 +111,8 @@ TEST(IgStudyTest, FullResolutionNearlyPerfect) {
 }
 
 TEST(IgStudyTest, RowsCarryPaperReferences) {
-    const auto records = synthetic_history(2'000, 8);
-    const auto rows = run_ig_study(records);
+    const auto payments = synthetic_history(2'000, 8);
+    const auto rows = run_ig_study(payments);
     EXPECT_TRUE(rows[0].paper_value.has_value());
     EXPECT_TRUE(rows[0].paper_value_exact);
     EXPECT_NEAR(*rows[0].paper_value, 0.9983, 1e-12);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -86,11 +87,11 @@ TEST_F(DeterminismTest, AttackIndexIdenticalAcrossThreadCounts) {
         return core::AttackIndex(history_->payments.view(), config);
     });
     EXPECT_EQ(serial.bucket_count(), wide.bucket_count());
-    const std::vector<ledger::TxRecord> records = history_->to_records();
-    for (std::size_t i = 0; i < records.size(); i += 331) {
+    for (std::size_t i = 0; i < history_->payments.size(); i += 331) {
         // matches() returns row indices in bucket order — any merge
         // reordering would show up here, not just a count drift.
-        EXPECT_EQ(serial.matches(records[i]), wide.matches(records[i]))
+        const ledger::TxRecord observation = history_->payments.row(i);
+        EXPECT_EQ(serial.matches(observation), wide.matches(observation))
             << "row " << i;
     }
 }
@@ -173,19 +174,18 @@ TEST_F(DeterminismTest, AmountScanMatchesStreamedSamples) {
     }
 }
 
-TEST_F(DeterminismTest, NetworkScanMatchesRowOverload) {
-    const std::vector<ledger::TxRecord> records = history_->to_records();
-    // Deliberately exercising the deprecated shim: it must keep
-    // matching the columnar scan it forwards to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const analytics::NetworkStats rows =
-        analytics::compute_network_stats(history_->ledger, records);
-#pragma GCC diagnostic pop
-    const analytics::NetworkStats cols = analytics::compute_network_stats(
-        history_->ledger, history_->payments.view());
-    EXPECT_EQ(rows.active_senders, cols.active_senders);
-    EXPECT_EQ(rows.active_participants, cols.active_participants);
+TEST_F(DeterminismTest, NetworkScanMatchesSerialDistinctCount) {
+    // The chunked scan merges sorted per-chunk id sets; a plain serial
+    // set over the id columns must count the same accounts.
+    const ledger::PaymentColumns& payments = history_->payments;
+    const std::set<std::uint32_t> senders(payments.sender_id.begin(),
+                                          payments.sender_id.end());
+    std::set<std::uint32_t> participants = senders;
+    participants.insert(payments.dest_id.begin(), payments.dest_id.end());
+    const analytics::NetworkStats scanned =
+        analytics::compute_network_stats(history_->ledger, payments.view());
+    EXPECT_EQ(scanned.active_senders, senders.size());
+    EXPECT_EQ(scanned.active_participants, participants.size());
 }
 
 TEST_F(DeterminismTest, PathScanMatchesHistogramBuild) {

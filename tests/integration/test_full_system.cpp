@@ -76,8 +76,7 @@ TEST_F(FullSystemTest, SealMonitorAndAttack) {
         ++submitted;
     }
 
-    // Drive consensus until the queue drains; collect sealed records.
-    std::vector<ledger::TxRecord> records;
+    // Drive consensus until the queue drains.
     std::size_t ok = 0;
     for (int round = 0; round < 200 && !node.queue().empty(); ++round) {
         const node::RoundReport report = node.run_round();
@@ -172,7 +171,9 @@ TEST_F(FullSystemTest, AttackOverNodeSealedHistory) {
         records.push_back(record);
     }
 
-    const core::Deanonymizer deanonymizer(records);
+    const ledger::PaymentColumns payments =
+        ledger::PaymentColumns::from_records(records);
+    const core::Deanonymizer deanonymizer(payments);
     // Alice saw user 5 pay ~155 USD: the amount alone (rounded to the
     // nearest ten) plus the shop pins the sender.
     ledger::TxRecord observation = records[4];

@@ -99,12 +99,44 @@ def _entry_call_sites(toks):
     return sites
 
 
+# Heads of a brace that opens a scope OTHER than a block: a static
+# declared directly inside one of these is visible file-wide.
+_NON_BLOCK_HEADS = {"namespace", "extern", "class", "struct", "union",
+                    "enum"}
+
+
+def _opens_block(toks, k):
+    """True when the '{' at k opens a function body (or a block nested
+    in one); False for namespace, linkage and class/enum bodies. The
+    head is the statement before the brace, past any template<...>."""
+    head = k - 1
+    while head >= 0 and toks[head].text not in (";", "{", "}"):
+        head -= 1
+    head += 1
+    if head < k and toks[head].text == "template":
+        if head + 1 < k and toks[head + 1].text == "<":
+            head = _match_forward(toks, head + 1, "<", ">") + 1
+    return head >= k or toks[head].text not in _NON_BLOCK_HEADS
+
+
 def _static_mutables(toks):
-    """name -> declaration line for every non-const `static` local /
-    file-scope variable declared in this file. Used to catch bodies
-    touching function-local statics (shared across ALL threads and
-    calls) that a capture list never mentions."""
-    names = {}
+    """(name, index, scope) for every non-const `static` local /
+    file-scope variable declared in this file, where index is the
+    declaration's token index and scope the (open, close) token indices
+    of the enclosing block — None for a namespace- or class-scope
+    static, which every later parallel body in the file can reach. Used to catch bodies touching
+    function-local statics (shared across ALL threads and calls) that
+    a capture list never mentions."""
+    enclosing = []
+    stack = []
+    for tok in toks:
+        enclosing.append(stack[-1] if stack else None)
+        if tok.text == "{":
+            stack.append(len(enclosing) - 1)
+        elif tok.text == "}" and stack:
+            stack.pop()
+
+    statics = []
     i = 0
     while i < len(toks):
         if toks[i].text != "static" or toks[i].kind != "id":
@@ -130,9 +162,13 @@ def _static_mutables(toks):
             continue
         name_tok = decl[-1]
         if name_tok.kind == "id" and name_tok.text not in _NON_TYPE_KEYWORDS:
-            names[name_tok.text] = name_tok.line
+            k = enclosing[i]
+            scope = None
+            if k is not None and _opens_block(toks, k):
+                scope = (k, _match_forward(toks, k, "{", "}"))
+            statics.append((name_tok.text, i, scope))
         i = j + 1
-    return names
+    return statics
 
 
 class Lambda:
@@ -347,10 +383,13 @@ def check_file(path, text, annotations):
     seen = set()
     for open_paren in _entry_call_sites(toks):
         close = _match_forward(toks, open_paren, "(", ")")
-        # Only statics declared before the call site can be reached.
-        call_line = toks[open_paren].line
-        visible_statics = {n for n, line in statics.items()
-                           if line <= call_line}
+        # Only statics declared before the call site, in a scope that
+        # encloses it, can be reached: a function-local static is
+        # invisible to a parallel body in another function.
+        visible_statics = {
+            name for name, index, scope in statics
+            if index < open_paren
+            and (scope is None or scope[0] < open_paren < scope[1])}
         for lam in _parse_lambdas(toks, open_paren + 1, close):
             for line, name, what in _shared_writes(lam, visible_statics):
                 key = (line, name)

@@ -13,13 +13,15 @@ cd build && ctest --output-on-failure -j
 # one process (ScopedParallelism); re-running them under explicit
 # XRPL_THREADS pins also covers the env-driven shared-pool setup the
 # benches use. Widths 1 and 8 bracket serial and oversubscribed.
-# ReplayParityTest rides along: indexed-vs-scan path-engine parity
-# (paths, ReplayStats, nodes_expanded, golden Table II) must hold at
-# every pool width too.
+# The golden suites ride along: ReplayParityTest (indexed-vs-scan
+# path-engine parity, golden Table II) and ColumnarParityTest (the
+# pinned Fig 3 / anonymity / attack / mitigation / clustering / spam
+# values) must hold at every pool width too. CI's width step runs the
+# same filter.
 for width in 1 8; do
-  echo "--- determinism + replay parity at XRPL_THREADS=${width} ---"
+  echo "--- determinism + golden suites at XRPL_THREADS=${width} ---"
   XRPL_THREADS="${width}" ./tests/xrpl_tests \
-    --gtest_filter='DeterminismTest.*:ShardedDeterminismTest.*:ShardedSlicingTest.*:ObsParityTest.*:ReplayParityTest.*' \
+    --gtest_filter='DeterminismTest.*:ShardedDeterminismTest.*:ShardedSlicingTest.*:ObsParityTest.*:ReplayParityTest.*:ColumnarParityTest.*' \
     --gtest_brief=1
 done
 # XCOL round-trip determinism: the snapshot a width-1 process saves
