@@ -139,8 +139,8 @@ void BM_InformationGainColumnarThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_InformationGainColumnarThreads)->Apply(ThreadSweepArgs);
 
-// The full ten-configuration Fig 3 grid — the acceptance target for
-// the chunked runtime (configs x chunks on one flat task grid).
+// The full ten-configuration Fig 3 study: one pool task per
+// configuration, each fanning its fingerprint pass out over the chunks.
 void BM_IgStudyThreads(benchmark::State& state) {
     const ledger::PaymentColumns columns = make_payments(250'000);
     exec::ScopedParallelism pool(static_cast<std::size_t>(state.range(0)));

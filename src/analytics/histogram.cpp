@@ -10,16 +10,6 @@ void CountHistogram::add(std::uint32_t key, std::uint64_t weight) {
     total_ += weight;
 }
 
-void CountHistogram::merge(const CountHistogram& other) {
-    if (counts_.size() < other.counts_.size()) {
-        counts_.resize(other.counts_.size(), 0);
-    }
-    for (std::size_t key = 0; key < other.counts_.size(); ++key) {
-        counts_[key] += other.counts_[key];
-    }
-    total_ += other.total_;
-}
-
 std::uint64_t CountHistogram::count(std::uint32_t key) const noexcept {
     return key < counts_.size() ? counts_[key] : 0;
 }

@@ -14,10 +14,6 @@ class CountHistogram {
 public:
     void add(std::uint32_t key, std::uint64_t weight = 1);
 
-    /// Fold another histogram in (keywise sum). The chunked scans
-    /// build one histogram per chunk and merge them in chunk order.
-    void merge(const CountHistogram& other);
-
     [[nodiscard]] std::uint64_t count(std::uint32_t key) const noexcept;
     [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
     [[nodiscard]] double share(std::uint32_t key) const noexcept;

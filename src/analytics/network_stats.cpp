@@ -10,7 +10,7 @@ namespace xrpl::analytics {
 
 namespace {
 
-/// The ledger-side stats shared by both overloads.
+/// The stats read off the ledger rather than the payment history.
 void fill_ledger_stats(NetworkStats& stats, const ledger::LedgerState& ledger) {
     stats.accounts = ledger.account_count();
     stats.trust_lines = ledger.trustline_count();

@@ -1,11 +1,5 @@
 #include "analytics/path_stats.hpp"
 
-#include <algorithm>
-
-#include "exec/chunked_view.hpp"
-#include "exec/parallel.hpp"
-#include "util/contract.hpp"
-
 namespace xrpl::analytics {
 
 std::uint32_t PathStats::hop_anomaly() const {
@@ -37,34 +31,6 @@ PathStats make_path_stats(std::span<const std::uint64_t> hop_histogram,
         }
     }
     return stats;
-}
-
-PathStats accumulate_path_stats(
-    std::span<const std::uint32_t> hops_per_payment,
-    std::span<const std::uint32_t> parallel_per_payment) {
-    XRPL_ASSERT(hops_per_payment.size() == parallel_per_payment.size(),
-                "hop and parallel-path columns must be equally long");
-    const std::size_t n = hops_per_payment.size();
-    const std::size_t chunks = exec::chunk_count_for(n, exec::kDefaultChunkRows);
-    return exec::map_reduce<PathStats>(
-        chunks,
-        [&](std::size_t c) {
-            const std::size_t begin = c * exec::kDefaultChunkRows;
-            const std::size_t end =
-                std::min(begin + exec::kDefaultChunkRows, n);
-            PathStats local;
-            for (std::size_t i = begin; i < end; ++i) {
-                if (hops_per_payment[i] != 0) local.hops.add(hops_per_payment[i]);
-                if (parallel_per_payment[i] != 0) {
-                    local.parallel.add(parallel_per_payment[i]);
-                }
-            }
-            return local;
-        },
-        [](PathStats& acc, PathStats&& part) {
-            acc.hops.merge(part.hops);
-            acc.parallel.merge(part.parallel);
-        });
 }
 
 }  // namespace xrpl::analytics

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "analytics/histogram.hpp"
 
@@ -30,14 +29,5 @@ struct PathStats {
 /// Build from raw histogram arrays (index = key).
 [[nodiscard]] PathStats make_path_stats(std::span<const std::uint64_t> hop_histogram,
                                         std::span<const std::uint64_t> parallel_histogram);
-
-/// Build from per-payment columns: hops_per_payment[i] / parallel_per_payment[i]
-/// are payment i's intermediate-hop and parallel-path counts (0 = direct
-/// transfer, not histogrammed — matching the history builder). The two
-/// spans must be equally long. Chunk-parallel: per-chunk PathStats,
-/// merged in chunk order.
-[[nodiscard]] PathStats accumulate_path_stats(
-    std::span<const std::uint32_t> hops_per_payment,
-    std::span<const std::uint32_t> parallel_per_payment);
 
 }  // namespace xrpl::analytics

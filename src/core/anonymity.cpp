@@ -1,9 +1,6 @@
 #include "core/anonymity.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
-
-#include "core/fingerprint.hpp"
+#include "core/fingerprint_groups.hpp"
 
 namespace xrpl::core {
 
@@ -46,28 +43,7 @@ std::uint32_t AnonymityProfile::set_size_quantile(double fraction) const noexcep
 
 AnonymityProfile analyze_anonymity(ledger::PaymentView view,
                                    const ResolutionConfig& config) {
-    const std::vector<std::uint64_t> fingerprints = fingerprint_column(view, config);
-    const ledger::PaymentColumns& columns = view.columns();
-    const std::size_t offset = view.offset();
-
-    struct Bucket {
-        std::uint64_t payments = 0;
-        std::unordered_set<std::uint32_t> senders;
-    };
-    std::unordered_map<std::uint64_t, Bucket> buckets;
-    buckets.reserve(fingerprints.size());
-    for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-        Bucket& bucket = buckets[fingerprints[i]];
-        ++bucket.payments;
-        bucket.senders.insert(columns.sender_id[offset + i]);
-    }
-
-    AnonymityProfile profile;
-    for (const auto& [fp, bucket] : buckets) {
-        profile.add(static_cast<std::uint32_t>(bucket.senders.size()),
-                    bucket.payments);
-    }
-    return profile;
+    return anonymity_profile(view, sender_ids(view), config);
 }
 
 }  // namespace xrpl::core

@@ -45,8 +45,8 @@ private:
     std::uint64_t total_ = 0;
 };
 
-/// Analyze the history under `config`: one batched fingerprint pass,
-/// then interned u32 sender sets per fingerprint.
+/// Analyze the history under `config`: the anonymity_profile
+/// (core/fingerprint_groups) with each payment owned by its sender.
 [[nodiscard]] AnonymityProfile analyze_anonymity(ledger::PaymentView view,
                                                  const ResolutionConfig& config);
 

@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "core/ig_accumulator.hpp"
+#include "core/fingerprint_groups.hpp"
 
 namespace xrpl::core {
 
@@ -86,7 +86,7 @@ IgResult clustered_information_gain(ledger::PaymentView view,
     for (std::size_t i = 0; i < senders.size(); ++i) {
         owners[i] = entity_of[senders[i]];
     }
-    return ig_scan(view, owners, config);
+    return ig_of(anonymity_profile(view, owners, config));
 }
 
 }  // namespace xrpl::core

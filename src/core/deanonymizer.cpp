@@ -1,21 +1,16 @@
 #include "core/deanonymizer.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_set>
 
-#include "core/ig_accumulator.hpp"
-#include "exec/chunked_view.hpp"
-#include "exec/parallel.hpp"
+#include "core/fingerprint_groups.hpp"
 #include "util/contract.hpp"
 
 namespace xrpl::core {
 
-namespace {
-const std::vector<std::uint32_t> kNoMatches;
-}  // namespace
-
 IgResult Deanonymizer::information_gain(const ResolutionConfig& config) const {
-    return ig_scan(view_, sender_ids(view_), config);
+    return ig_of(anonymity_profile(view_, sender_ids(view_), config));
 }
 
 std::vector<ledger::AccountID> Deanonymizer::attack(
@@ -54,60 +49,48 @@ AttackIndex::AttackIndex(const ledger::PaymentColumns& payments,
 
 AttackIndex::AttackIndex(ledger::PaymentView view, ResolutionConfig config)
     : view_(view), config_(config) {
-    // Chunk-local fingerprint->rows maps, appended in chunk order:
-    // chunk c's row indices all precede chunk c+1's, so every bucket
-    // comes out ascending — byte-identical to the serial build.
-    const FingerprintPlan plan(view.columns(), config_);
-    const exec::ChunkedView chunks(view);
-    using PartialIndex =
-        std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>;
-    index_ = exec::map_reduce<PartialIndex>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
-            const std::size_t n = b.end - b.begin;
-            std::vector<std::uint64_t> fingerprints(n);
-            plan.rows(view.offset() + b.begin, view.offset() + b.end,
-                      fingerprints.data());
-            PartialIndex local;
-            local.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                local[fingerprints[i]].push_back(
-                    static_cast<std::uint32_t>(b.begin + i));
-            }
-            return local;
-        },
-        [](PartialIndex& acc, PartialIndex&& part) {
-            if (acc.empty()) {
-                acc = std::move(part);
-                return;
-            }
-            for (auto& [fp, rows] : part) {
-                std::vector<std::uint32_t>& bucket = acc[fp];
-                bucket.insert(bucket.end(), rows.begin(), rows.end());
-            }
-        });
-#if XRPL_CONTRACTS_ENABLED
-    // Bucket consistency: the buckets partition the record range —
-    // every record indexed exactly once, every stored index in range.
-    // O(n) sweep, so contract builds only.
-    std::size_t indexed = 0;
-    for (const auto& [fp, rows] : index_) {
-        indexed += rows.size();
-        for (const std::uint32_t row : rows) {
-            XRPL_INVARIANT(row < view.size(),
-                           "attack-index buckets must reference real records");
-        }
+    // Keyed by row index: each group's rows come out ascending.
+    std::vector<std::uint32_t> row_ids(view.size());
+    std::iota(row_ids.begin(), row_ids.end(), std::uint32_t{0});
+    const std::vector<KeyedFingerprint> sorted =
+        sorted_by_fingerprint(view, row_ids, config_);
+    fingerprints_.reserve(sorted.size());
+    rows_.reserve(sorted.size());
+    for (const KeyedFingerprint& entry : sorted) {
+        fingerprints_.push_back(entry.fingerprint);
+        rows_.push_back(entry.key);
     }
-    XRPL_INVARIANT(indexed == view.size(),
-                   "attack-index buckets must partition the record range");
+#if XRPL_CONTRACTS_ENABLED
+    // The rows are a permutation of the view: every payment indexed
+    // exactly once. O(n) sweep, so contract builds only.
+    std::vector<bool> seen(view.size(), false);
+    for (const std::uint32_t row : rows_) {
+        XRPL_INVARIANT(row < seen.size() && !seen[row],
+                       "attack-index rows must be a permutation of the view");
+        seen[row] = true;
+    }
+    XRPL_INVARIANT(rows_.size() == seen.size(),
+                   "attack-index rows must be a permutation of the view");
 #endif
 }
 
-const std::vector<std::uint32_t>& AttackIndex::matches(
+std::span<const std::uint32_t> AttackIndex::matches(
     const ledger::TxRecord& observation) const {
-    const auto it = index_.find(fingerprint(observation, config_));
-    return it == index_.end() ? kNoMatches : it->second;
+    const auto [first, last] =
+        std::equal_range(fingerprints_.begin(), fingerprints_.end(),
+                         fingerprint(observation, config_));
+    return std::span<const std::uint32_t>(rows_).subspan(
+        static_cast<std::size_t>(first - fingerprints_.begin()),
+        static_cast<std::size_t>(last - first));
+}
+
+std::size_t AttackIndex::bucket_count() const noexcept {
+    // One bucket per run of equal fingerprints.
+    std::size_t runs = 0;
+    for (std::size_t i = 0; i < fingerprints_.size(); ++i) {
+        if (i == 0 || fingerprints_[i] != fingerprints_[i - 1]) ++runs;
+    }
+    return runs;
 }
 
 std::vector<ledger::AccountID> AttackIndex::candidate_senders(

@@ -20,7 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/features.hpp"
@@ -52,8 +52,8 @@ public:
     explicit Deanonymizer(ledger::PaymentColumns&&) = delete;
     explicit Deanonymizer(ledger::PaymentView view) noexcept : view_(view) {}
 
-    /// Fig 3's IG for one resolution configuration. O(n) time,
-    /// O(#distinct fingerprints) memory.
+    /// Fig 3's IG for one resolution configuration: one fingerprint
+    /// pass and a sort (core/fingerprint_groups), O(n log n) time.
     [[nodiscard]] IgResult information_gain(const ResolutionConfig& config) const;
 
     /// All candidate senders matching an observed payment at the given
@@ -76,7 +76,8 @@ private:
 };
 
 /// Precomputed fingerprint index for repeated attack queries at one
-/// fixed resolution (the interactive examples use this).
+/// fixed resolution: the payments sorted by fingerprint, so a query is
+/// a binary search instead of a scan.
 class AttackIndex {
 public:
     /// Like Deanonymizer, the index keeps a view into the store.
@@ -85,8 +86,9 @@ public:
     AttackIndex(ledger::PaymentView view, ResolutionConfig config);
 
     /// View-relative indices of all payments matching the
-    /// observation's fingerprint, ascending.
-    [[nodiscard]] const std::vector<std::uint32_t>& matches(
+    /// observation's fingerprint, ascending. The span points into the
+    /// index.
+    [[nodiscard]] std::span<const std::uint32_t> matches(
         const ledger::TxRecord& observation) const;
 
     /// Distinct senders among the matches.
@@ -94,12 +96,14 @@ public:
         const ledger::TxRecord& observation) const;
 
     [[nodiscard]] const ResolutionConfig& config() const noexcept { return config_; }
-    [[nodiscard]] std::size_t bucket_count() const noexcept { return index_.size(); }
+    /// Distinct fingerprints in the view.
+    [[nodiscard]] std::size_t bucket_count() const noexcept;
 
 private:
     ledger::PaymentView view_;
     ResolutionConfig config_;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
+    std::vector<std::uint64_t> fingerprints_;  // ascending
+    std::vector<std::uint32_t> rows_;          // rows_[i] has fingerprints_[i]
 };
 
 }  // namespace xrpl::core

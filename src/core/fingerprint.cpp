@@ -1,5 +1,6 @@
 #include "core/fingerprint.hpp"
 
+#include "core/resolution.hpp"
 #include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "ledger/types.hpp"
@@ -55,6 +56,32 @@ void mix_amount(FingerprintHasher& hasher, const ledger::IouAmount& rounded) noe
     hasher.mix(static_cast<std::uint64_t>(
         static_cast<std::int64_t>(rounded.exponent())));
 }
+
+/// The per-configuration context fingerprint_column amortizes:
+/// destination hash words (each distinct account folded once) and
+/// per-currency code word + Table I rounding unit. Built once per
+/// (store, config); rows() then fingerprints any absolute row range.
+class FingerprintPlan {
+public:
+    FingerprintPlan(const ledger::PaymentColumns& columns,
+                    const ResolutionConfig& config);
+
+    /// Fingerprints of rows [begin, end) of the store (absolute row
+    /// indices) into out[0 .. end-begin). Read-only on the store and
+    /// the plan: safe to call concurrently.
+    void rows(std::size_t begin, std::size_t end, std::uint64_t* out) const;
+
+private:
+    struct CurrencyContext {
+        std::uint64_t word = 0;  // code word ^ kCurrencyDomain
+        RoundingUnit unit;       // Table I unit (amount configs only)
+    };
+
+    const ledger::PaymentColumns* columns_;
+    ResolutionConfig config_;
+    std::vector<std::uint64_t> dest_words_;  // tagged, by interned account id
+    std::vector<CurrencyContext> currency_context_;  // by interned currency id
+};
 
 }  // namespace
 

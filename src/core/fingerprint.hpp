@@ -14,19 +14,17 @@
 // Two evaluation paths produce bit-identical fingerprints:
 //  * fingerprint(record, config): one row — the attacker's
 //    observation, which is never part of a store.
-//  * fingerprint_column(view, config) / FingerprintPlan: the history
-//    in one pass over the columnar store, with per-column
-//    precomputation — each distinct account is folded to its hash
-//    word once, each currency resolves its code word and Table I
-//    rounding unit once, and the per-row loop touches only dense
-//    columns.
+//  * fingerprint_column(view, config): the history in one pass over
+//    the columnar store, with per-column precomputation — each
+//    distinct account is folded to its hash word once, each currency
+//    resolves its code word and Table I rounding unit once, and the
+//    per-row loop touches only dense columns.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/features.hpp"
-#include "core/resolution.hpp"
 #include "ledger/payment_columns.hpp"
 #include "ledger/transaction.hpp"
 
@@ -55,38 +53,5 @@ private:
 /// so the result is thread-count independent by construction).
 [[nodiscard]] std::vector<std::uint64_t> fingerprint_column(
     const ledger::PaymentView& view, const ResolutionConfig& config);
-
-/// The precomputed per-configuration context fingerprint_column
-/// amortizes: destination hash words (each distinct account folded
-/// once) and per-currency code word + Table I rounding unit. Built
-/// once per (store, config); rows() then fingerprints any absolute
-/// row range — the chunk-parallel runtime calls it per chunk, and the
-/// ten-configuration IG study shares one plan per configuration
-/// across all of its chunk tasks.
-class FingerprintPlan {
-public:
-    FingerprintPlan(const ledger::PaymentColumns& columns,
-                    const ResolutionConfig& config);
-
-    /// Fingerprints of rows [begin, end) of the store (absolute row
-    /// indices) into out[0 .. end-begin). Read-only on the store and
-    /// the plan: safe to call concurrently.
-    void rows(std::size_t begin, std::size_t end, std::uint64_t* out) const;
-
-    [[nodiscard]] const ResolutionConfig& config() const noexcept {
-        return config_;
-    }
-
-private:
-    struct CurrencyContext {
-        std::uint64_t word = 0;  // code word ^ kCurrencyDomain
-        RoundingUnit unit;       // Table I unit (amount configs only)
-    };
-
-    const ledger::PaymentColumns* columns_;
-    ResolutionConfig config_;
-    std::vector<std::uint64_t> dest_words_;  // tagged, by interned account id
-    std::vector<CurrencyContext> currency_context_;  // by interned currency id
-};
 
 }  // namespace xrpl::core

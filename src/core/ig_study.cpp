@@ -1,10 +1,8 @@
 #include "core/ig_study.hpp"
 
-#include "core/ig_accumulator.hpp"
-#include "exec/chunked_view.hpp"
+#include "core/fingerprint_groups.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/phase.hpp"
-#include "util/contract.hpp"
 
 namespace xrpl::core {
 
@@ -51,47 +49,14 @@ std::vector<IgStudyRow> run_ig_study(const ledger::PaymentColumns& payments) {
 
 std::vector<IgStudyRow> run_ig_study(ledger::PaymentView view) {
     const obs::Phase phase("core.ig_study");
-    // The whole study is one flat (configuration x chunk) task grid:
-    // chunks parallelize within a configuration, configurations
-    // parallelize against each other, and the pool load-balances
-    // across both dimensions at once — no per-config barrier. The
-    // per-config fingerprint plans are built up front (cheap: one
-    // pass over the two dictionary tables each) and shared read-only
-    // by every chunk task of that configuration.
+    // One pool task per configuration, each writing its own row. The
+    // fingerprint pass inside a task fans out again over the same
+    // pool: a nested run() drains its own batch.
     const std::vector<ResolutionConfig> configs = fig3_configurations();
-    const exec::ChunkedView chunks(view);
-    const std::size_t k = chunks.chunk_count();
     const std::span<const std::uint32_t> senders = sender_ids(view);
-
-    std::vector<FingerprintPlan> plans;
-    plans.reserve(configs.size());
-    for (const ResolutionConfig& config : configs) {
-        plans.emplace_back(view.columns(), config);
-    }
-
-    std::vector<std::vector<IgPartial>> partials(configs.size());
-    for (std::vector<IgPartial>& per_config : partials) per_config.resize(k);
-    exec::ThreadPool::shared().run(configs.size() * k, [&](std::size_t t) {
-        const std::size_t config = t / k;
-        const std::size_t chunk = t % k;
-        const exec::ChunkedView::Bounds b = chunks.bounds(chunk);
-        partials[config][chunk] =
-            ig_map_chunk(view, senders, plans[config], b.begin, b.end);
-    });
-
-    // Per-configuration ordered folds, themselves parallel across
-    // configurations (each fold is independent, and within one
-    // configuration partials merge strictly in chunk order).
     std::vector<IgStudyRow> rows(configs.size());
-    exec::ThreadPool::shared().run(configs.size(), [&](std::size_t config) {
-        IgPartial merged;
-        std::size_t folded = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-            XRPL_INVARIANT(folded == c, "partials must merge in chunk order");
-            ig_reduce(merged, std::move(partials[config][c]));
-            ++folded;
-        }
-        rows[config].result = ig_finalize(merged);
+    exec::ThreadPool::shared().run(configs.size(), [&](std::size_t i) {
+        rows[i].result = ig_of(anonymity_profile(view, senders, configs[i]));
     });
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const PaperReference reference = fig3_paper_reference(i);

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "core/ig_accumulator.hpp"
+#include "core/fingerprint_groups.hpp"
 
 namespace xrpl::core {
 
@@ -71,7 +71,8 @@ IgResult linked_information_gain(const RotatedColumns& rotated,
                                  const ResolutionConfig& config) {
     // The attacker clusters wallets by activator: the owner column is
     // exactly the identity it recovers.
-    return ig_scan(rotated.payments.view(), rotated.owner_id, config);
+    return ig_of(anonymity_profile(rotated.payments.view(), rotated.owner_id,
+                                   config));
 }
 
 MitigationReport evaluate_wallet_rotation(

@@ -1,5 +1,6 @@
 #include "snap/xcol.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "exec/parallel.hpp"
@@ -26,6 +27,10 @@ constexpr std::size_t kCurrencyBytes = 3;
 // LEB128 on u64 never exceeds ten bytes; an eleventh continuation
 // byte is corruption, not a long value.
 constexpr int kMaxVarintBytes = 10;
+// The fewest body bytes a row can take: four one-byte varints (sender,
+// destination, currency, mantissa), the exponent byte and a one-byte
+// time delta.
+constexpr std::uint64_t kMinRowBytes = 6;
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
     out.push_back(static_cast<std::uint8_t>(v));
@@ -370,9 +375,9 @@ LoadResult decode_columns(std::span<const std::uint8_t> bytes) {
     const std::uint32_t chunk_count = get_u32(bytes.data() + 20);
     const std::uint64_t account_count = get_u64(bytes.data() + 24);
     const std::uint64_t currency_count = get_u64(bytes.data() + 32);
+    // Rounded-up division written so that no row count can wrap it.
     if (chunk_rows == 0 ||
-        chunk_count != exec::chunk_count_for(static_cast<std::size_t>(rows),
-                                             chunk_rows)) {
+        chunk_count != rows / chunk_rows + (rows % chunk_rows != 0 ? 1u : 0u)) {
         return fail(LoadError::kMalformed, "row/chunk counts disagree");
     }
     if (account_count > UINT32_MAX || currency_count > UINT16_MAX) {
@@ -398,9 +403,14 @@ LoadResult decode_columns(std::span<const std::uint8_t> bytes) {
     for (std::size_t c = 0; c < chunk_count; ++c) {
         const std::uint32_t size =
             get_u32(bytes.data() + regions.table_begin + c * 4);
-        if (size < kCrcSize + 1) {
+        // The header's row count sizes the columns below, and the CRCs
+        // and seal are unkeyed: bound it by the bytes that back it.
+        const std::uint64_t rows_here =
+            std::min<std::uint64_t>(chunk_rows, rows - c * chunk_rows);
+        if (size < kCrcSize + kMinRowBytes * rows_here) {
             return fail(LoadError::kMalformed,
-                        "chunk " + std::to_string(c) + " blob too small");
+                        "chunk " + std::to_string(c) + " too small for " +
+                            std::to_string(rows_here) + " rows");
         }
         regions.chunk_offsets[c] = offset;
         regions.chunk_sizes[c] = size;

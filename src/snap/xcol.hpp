@@ -91,7 +91,7 @@ struct XcolInfo {
     std::uint32_t chunk_count = 0;
     std::uint64_t accounts = 0;
     std::uint64_t currencies = 0;
-    std::uint64_t total_bytes = 0;  // expected file size per the header
+    std::uint64_t total_bytes = 0;  // size of the bytes read_info was given
     std::string seal_hex;           // sha256 trailer, lowercase hex
 };
 

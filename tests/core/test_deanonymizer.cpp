@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -197,7 +198,8 @@ TEST(AttackIndexTest, ColumnarIndexMatchesRowIndex) {
     }
     EXPECT_EQ(index.bucket_count(), rows.size());
     for (std::size_t i = 0; i < records.size(); i += 7) {
-        EXPECT_EQ(index.matches(records[i]),
+        const std::span<const std::uint32_t> matches = index.matches(records[i]);
+        EXPECT_EQ(std::vector<std::uint32_t>(matches.begin(), matches.end()),
                   rows.at(fingerprint(records[i], full_resolution())));
     }
 }

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/anonymity.hpp"
@@ -140,7 +141,8 @@ TEST_F(ColumnarParityTest, AttackIndexIdentical) {
     for (std::size_t i = 0; i < payments().size(); i += 997) {
         const ledger::TxRecord observation = payments().row(i);
         // Every probe is the only payment in its full-resolution bucket.
-        EXPECT_EQ(index.matches(observation),
+        const std::span<const std::uint32_t> matches = index.matches(observation);
+        EXPECT_EQ(std::vector<std::uint32_t>(matches.begin(), matches.end()),
                   std::vector<std::uint32_t>{static_cast<std::uint32_t>(i)});
         EXPECT_EQ(index.candidate_senders(observation),
                   deanonymizer.attack(observation, config));

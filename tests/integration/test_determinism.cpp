@@ -11,21 +11,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analytics/currency_stats.hpp"
 #include "analytics/network_stats.hpp"
-#include "analytics/path_stats.hpp"
 #include "analytics/survival.hpp"
 #include "analytics/top_users.hpp"
+#include "core/anonymity.hpp"
 #include "core/deanonymizer.hpp"
 #include "core/ig_study.hpp"
 #include "datagen/history.hpp"
 #include "exec/thread_pool.hpp"
-#include "util/rng.hpp"
 
 namespace xrpl {
 namespace {
@@ -81,6 +82,20 @@ TEST_F(DeterminismTest, IgStudyRowsIdenticalAcrossThreadCounts) {
     }
 }
 
+TEST_F(DeterminismTest, AnonymityProfilesIdenticalAcrossThreadCounts) {
+    const auto [serial, wide] = serial_vs_wide([&] {
+        std::vector<std::map<std::uint32_t, std::uint64_t>> histograms;
+        for (const core::ResolutionConfig& config : core::fig3_configurations()) {
+            histograms.push_back(
+                core::analyze_anonymity(history_->payments.view(), config)
+                    .histogram());
+        }
+        return histograms;
+    });
+    ASSERT_EQ(serial.size(), 10u);
+    EXPECT_EQ(serial, wide);
+}
+
 TEST_F(DeterminismTest, AttackIndexIdenticalAcrossThreadCounts) {
     const core::ResolutionConfig config = core::full_resolution();
     const auto [serial, wide] = serial_vs_wide([&] {
@@ -88,10 +103,13 @@ TEST_F(DeterminismTest, AttackIndexIdenticalAcrossThreadCounts) {
     });
     EXPECT_EQ(serial.bucket_count(), wide.bucket_count());
     for (std::size_t i = 0; i < history_->payments.size(); i += 331) {
-        // matches() returns row indices in bucket order — any merge
-        // reordering would show up here, not just a count drift.
+        // matches() returns row indices in order — any reordering
+        // would show up here, not just a count drift.
         const ledger::TxRecord observation = history_->payments.row(i);
-        EXPECT_EQ(serial.matches(observation), wide.matches(observation))
+        const std::span<const std::uint32_t> one = serial.matches(observation);
+        const std::span<const std::uint32_t> eight = wide.matches(observation);
+        EXPECT_EQ(std::vector<std::uint32_t>(one.begin(), one.end()),
+                  std::vector<std::uint32_t>(eight.begin(), eight.end()))
             << "row " << i;
     }
 }
@@ -140,24 +158,6 @@ TEST_F(DeterminismTest, NetworkStatsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.degree_histogram, wide.degree_histogram);
 }
 
-TEST_F(DeterminismTest, PathStatsIdenticalAcrossThreadCounts) {
-    // Synthetic per-payment hop/parallel columns (the generator keeps
-    // only histograms, so the scan input is reconstructed here).
-    util::Rng rng(99);
-    std::vector<std::uint32_t> hops(20'000);
-    std::vector<std::uint32_t> parallel(20'000);
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-        hops[i] = static_cast<std::uint32_t>(rng.uniform_u64(0, 8));
-        parallel[i] =
-            hops[i] == 0 ? 0 : static_cast<std::uint32_t>(rng.uniform_u64(1, 4));
-    }
-    const auto [serial, wide] = serial_vs_wide(
-        [&] { return analytics::accumulate_path_stats(hops, parallel); });
-    EXPECT_EQ(serial.hops.items(), wide.hops.items());
-    EXPECT_EQ(serial.parallel.items(), wide.parallel.items());
-    EXPECT_EQ(serial.hop_anomaly(), wide.hop_anomaly());
-}
-
 // ---- scan vs streaming-aggregate parity ---------------------------------
 
 TEST_F(DeterminismTest, CurrencyScanMatchesStreamedCounts) {
@@ -186,30 +186,6 @@ TEST_F(DeterminismTest, NetworkScanMatchesSerialDistinctCount) {
         analytics::compute_network_stats(history_->ledger, payments.view());
     EXPECT_EQ(scanned.active_senders, senders.size());
     EXPECT_EQ(scanned.active_participants, participants.size());
-}
-
-TEST_F(DeterminismTest, PathScanMatchesHistogramBuild) {
-    util::Rng rng(7);
-    std::vector<std::uint32_t> hops(5000);
-    std::vector<std::uint32_t> parallel(5000);
-    std::vector<std::uint64_t> hop_hist(16, 0);
-    std::vector<std::uint64_t> parallel_hist(16, 0);
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-        hops[i] = static_cast<std::uint32_t>(rng.uniform_u64(0, 10));
-        parallel[i] =
-            hops[i] == 0 ? 0 : static_cast<std::uint32_t>(rng.uniform_u64(1, 6));
-        ++hop_hist[hops[i]];
-        ++parallel_hist[parallel[i]];
-    }
-    hop_hist[0] = parallel_hist[0] = 0;  // direct transfers not histogrammed
-
-    const analytics::PathStats scanned =
-        analytics::accumulate_path_stats(hops, parallel);
-    const analytics::PathStats built =
-        analytics::make_path_stats(hop_hist, parallel_hist);
-    EXPECT_EQ(scanned.hops.items(), built.hops.items());
-    EXPECT_EQ(scanned.parallel.items(), built.parallel.items());
-    EXPECT_EQ(scanned.multi_hop_total(), built.multi_hop_total());
 }
 
 }  // namespace

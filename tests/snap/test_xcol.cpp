@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "exec/thread_pool.hpp"
 #include "ledger/payment_columns.hpp"
 #include "snap/xcol.hpp"
+#include "util/crc32c.hpp"
+#include "util/sha256.hpp"
 
 namespace xrpl::snap {
 namespace {
@@ -236,6 +239,81 @@ TEST_F(XcolCorruptionTest, TrailingGarbageIsMalformed) {
     std::vector<std::uint8_t> bad(*bytes_);
     bad.push_back(0xAB);
     EXPECT_EQ(expect_rejected(bad), LoadError::kMalformed);
+}
+
+/// XCOL bytes whose header claims `rows` rows in `chunk_count` chunks
+/// of `chunk_rows`, each chunk a one-byte body, with every CRC and the
+/// seal correct: only a check of the rows against the chunk bytes can
+/// reject it.
+std::vector<std::uint8_t> crafted_file(std::uint64_t rows,
+                                       std::uint32_t chunk_rows,
+                                       std::uint32_t chunk_count) {
+    std::vector<std::uint8_t> out;
+    const auto put = [&out](std::uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+        }
+    };
+    const auto put_crc_from = [&](std::size_t begin) {
+        put(util::crc32c(std::span<const std::uint8_t>(out).subspan(begin)), 4);
+    };
+    const auto schema = ledger::payment_schema();
+    put(kXcolMagic, 4);
+    put(kXcolVersion, 2);
+    put(0, 2);  // flags
+    put(rows, 8);
+    put(chunk_rows, 4);
+    put(chunk_count, 4);
+    put(1, 8);  // accounts
+    put(1, 8);  // currencies
+    put(schema.size(), 1);
+    for (const ledger::ColumnInfo& column : schema) {
+        put(static_cast<std::uint8_t>(column.kind), 1);
+    }
+    put_crc_from(0);
+    const std::size_t table = out.size();
+    for (std::uint32_t c = 0; c < chunk_count; ++c) put(1 + 4, 4);  // body + CRC
+    put_crc_from(table);
+    for (std::uint32_t c = 0; c < chunk_count; ++c) {
+        const std::size_t body = out.size();
+        put(0, 1);
+        put_crc_from(body);
+    }
+    const std::size_t accounts = out.size();
+    out.insert(out.end(), 20, 0x11);
+    put_crc_from(accounts);
+    const std::size_t currencies = out.size();
+    out.insert(out.end(), {'U', 'S', 'D'});
+    put_crc_from(currencies);
+    const util::Sha256Digest seal = util::sha256(out);
+    out.insert(out.end(), seal.begin(), seal.end());
+    return out;
+}
+
+TEST_F(XcolCorruptionTest, RowCountBeyondChunkBytesIsMalformed) {
+    // 2^40 rows in 257 chunks of 2^32 - 1: unchecked, decode sizes
+    // six columns for them.
+    const std::vector<std::uint8_t> huge =
+        crafted_file(std::uint64_t{1} << 40, UINT32_MAX, 257);
+    EXPECT_EQ(huge.size(), 2'431u);
+    EXPECT_EQ(expect_rejected(huge), LoadError::kMalformed);
+    // 2^64 - 1 rows in no chunks: the rounded-up chunk count must not
+    // wrap to zero.
+    EXPECT_EQ(expect_rejected(crafted_file(UINT64_MAX, 2, 0)),
+              LoadError::kMalformed);
+
+    // The bound is tight: a row whose every field takes one byte
+    // still round-trips.
+    ledger::TxRecord record;
+    record.sender = ledger::AccountID::from_seed("alice");
+    record.destination = ledger::AccountID::from_seed("bob");
+    record.currency = ledger::Currency::from_code("USD");
+    ledger::PaymentColumns tight;
+    tight.push_back(record);
+    const LoadResult result = decode_columns(encode_columns(tight));
+    ASSERT_TRUE(result.ok()) << result.detail;
+    EXPECT_EQ(ledger::columns_fingerprint(result.columns),
+              ledger::columns_fingerprint(tight));
 }
 
 TEST_F(XcolCorruptionTest, MissingFileIsIoError) {
