@@ -1,6 +1,7 @@
 #include "paths/graph_index.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
@@ -8,84 +9,86 @@
 
 namespace xrpl::paths {
 
+namespace {
+
+/// lower_bound order of the currency-sorted partition list.
+bool currency_below(const GraphIndex::Partition& part,
+                    ledger::Currency currency) noexcept {
+    return part.currency < currency;
+}
+
+}  // namespace
+
 void GraphIndex::build(const ledger::LedgerState& ledger) {
     const auto account_count =
         static_cast<std::uint32_t>(ledger.account_count());
 
-    // Pass 1 — discover the currency set. Iterating accounts in dense
+    // The partition of `currency`, inserted in sorted position the
+    // first time the currency shows up. There are tens of currencies,
+    // so the binary search and the rare insert stay cheap.
+    partitions_.clear();
+    const auto partition_of = [&](ledger::Currency currency) -> Partition& {
+        const auto it = std::lower_bound(partitions_.begin(), partitions_.end(),
+                                         currency, currency_below);
+        if (it != partitions_.end() && it->currency == currency) return *it;
+        Partition part;
+        part.currency = currency;
+        part.offsets.assign(account_count + 1, 0);
+        return *partitions_.insert(it, std::move(part));
+    };
+
+    // Walk 1 — discover the currency set and count each node's degree
+    // per partition into offsets[i + 1]. Iterating accounts in dense
     // index order (not the unordered line map) keeps the build
     // deterministic and gives each line exactly two visits, one per
     // endpoint.
-    std::vector<ledger::Currency> currencies;
     for (std::uint32_t i = 0; i < account_count; ++i) {
         for (const ledger::TrustLine* line :
              ledger.lines_of(ledger.account_by_index(i))) {
-            currencies.push_back(line->key().currency);
-        }
-    }
-    std::sort(currencies.begin(), currencies.end());
-    currencies.erase(std::unique(currencies.begin(), currencies.end()),
-                     currencies.end());
-
-    partitions_.clear();
-    partitions_.resize(currencies.size());
-    for (std::size_t p = 0; p < currencies.size(); ++p) {
-        partitions_[p].currency = currencies[p];
-        partitions_[p].offsets.assign(account_count + 1, 0);
-    }
-    const auto part_of = [&](ledger::Currency currency) -> Partition& {
-        const auto it = std::lower_bound(
-            currencies.begin(), currencies.end(), currency);
-        return partitions_[static_cast<std::size_t>(it - currencies.begin())];
-    };
-
-    // Pass 2 — per-partition degree counts into the offset slots.
-    for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line :
-             ledger.lines_of(ledger.account_by_index(i))) {
-            ++part_of(line->key().currency).offsets[i + 1];
+            ++partition_of(line->key().currency).offsets[i + 1];
         }
     }
     for (Partition& part : partitions_) {
-        for (std::size_t i = 1; i < part.offsets.size(); ++i) {
-            part.offsets[i] += part.offsets[i - 1];
-        }
+        std::partial_sum(part.offsets.begin(), part.offsets.end(),
+                         part.offsets.begin());
         part.edges.resize(part.offsets.back());
     }
 
-    // Pass 3 — fill. Per-node edge order within a partition preserves
-    // lines_of() insertion order (the legacy scan's enumeration
-    // order), which is what makes the two engines return identical
-    // paths when ties exist.
-    std::vector<std::uint32_t> cursor;
-    for (Partition& part : partitions_) {
-        cursor.assign(part.offsets.begin(), part.offsets.end() - 1);
-        // Reuse: each partition fills from its own row pointers.
-        for (std::uint32_t i = 0; i < account_count; ++i) {
-            const ledger::AccountID& node = ledger.account_by_index(i);
-            for (const ledger::TrustLine* line : ledger.lines_of(node)) {
-                if (!(line->key().currency == part.currency)) continue;
-                const bool node_is_low = node == line->key().low;
-                const ledger::AccountID& peer_id =
-                    node_is_low ? line->key().high : line->key().low;
-                const ledger::AccountRoot* peer = ledger.account(peer_id);
-                XRPL_ASSERT(peer != nullptr,
-                            "trust lines must connect existing accounts");
-                part.edges[cursor[i]++] =
-                    Edge{peer->index, line, node_is_low, peer->allows_rippling};
-            }
+    // Walk 2 — fill every partition at once. offsets[i] is row i's
+    // write cursor, so a node's edges land in lines_of() insertion
+    // order (the legacy scan's enumeration order, which is what makes
+    // the two engines return identical paths when ties exist). The
+    // walk leaves offsets[i] at row i's end, which is row i + 1's
+    // start; shifting the pointers one slot right restores them.
+    for (std::uint32_t i = 0; i < account_count; ++i) {
+        const ledger::AccountID& node = ledger.account_by_index(i);
+        for (const ledger::TrustLine* line : ledger.lines_of(node)) {
+            Partition& part = partition_of(line->key().currency);
+            const bool node_is_low = node == line->key().low;
+            const ledger::AccountID& peer_id =
+                node_is_low ? line->key().high : line->key().low;
+            const ledger::AccountRoot* peer = ledger.account(peer_id);
+            XRPL_ASSERT(peer != nullptr,
+                        "trust lines must connect existing accounts");
+            part.edges[part.offsets[i]++] =
+                Edge{peer->index, line, node_is_low, peer->allows_rippling};
         }
+    }
+    for (Partition& part : partitions_) {
+        std::copy_backward(part.offsets.begin(), part.offsets.end() - 1,
+                           part.offsets.end());
+        part.offsets.front() = 0;
     }
 
     built_ = true;
     built_generation_ = ledger.topology_generation();
 }
 
-void GraphIndex::ensure(const ledger::LedgerState& ledger) {
+bool GraphIndex::ensure(const ledger::LedgerState& ledger) {
     if (built_ && built_generation_ == ledger.topology_generation()) {
         static obs::Counter& hits = obs::counter("paths.index.hits");
         hits.add(1);
-        return;
+        return false;
     }
     static obs::Counter& builds = obs::counter("paths.index.builds");
     static obs::Counter& rebuilds = obs::counter("paths.index.rebuilds");
@@ -96,15 +99,13 @@ void GraphIndex::ensure(const ledger::LedgerState& ledger) {
     build_ns.record(watch.elapsed_ns());
     builds.add(1);
     if (rebuild) rebuilds.add(1);
+    return true;
 }
 
 const GraphIndex::Partition* GraphIndex::partition(
     ledger::Currency currency) const noexcept {
-    const auto it = std::lower_bound(
-        partitions_.begin(), partitions_.end(), currency,
-        [](const Partition& part, ledger::Currency c) {
-            return part.currency < c;
-        });
+    const auto it = std::lower_bound(partitions_.begin(), partitions_.end(),
+                                     currency, currency_below);
     if (it == partitions_.end() || !(it->currency == currency)) return nullptr;
     return &*it;
 }

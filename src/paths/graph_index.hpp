@@ -56,14 +56,16 @@ public:
         }
     };
 
-    /// Rebuild from scratch (unconditionally).
+    /// Rebuild from scratch (unconditionally): two walks over every
+    /// account's lines_of() in dense-index order, one to discover the
+    /// currencies and count degrees, one to fill all partitions.
     void build(const ledger::LedgerState& ledger);
 
     /// Lazy freshness: rebuild only if the ledger's topology
-    /// generation moved since the last build. Records paths.index.*
-    /// metrics (builds/rebuilds/build_ns on a rebuild, hits on a
-    /// served query).
-    void ensure(const ledger::LedgerState& ledger);
+    /// generation moved since the last build, and return whether it
+    /// did. Records paths.index.* metrics (builds/rebuilds/build_ns on
+    /// a rebuild, hits on a served query).
+    bool ensure(const ledger::LedgerState& ledger);
 
     /// The CSR table for `currency`, or nullptr when no trust line in
     /// that currency exists (partitions are sorted by currency).

@@ -70,30 +70,48 @@ struct ScanExpander {
 /// read live through the TrustLine pointer. A null partition (no line
 /// in this currency) behaves as an empty graph so both engines walk
 /// the same trivial frontier.
+///
+/// DefaultRipple comes first: an edge to a peer that blocks rippling
+/// and is neither endpoint is skipped before the exclusion probe and
+/// the capacity read, since run_search's visit would drop that peer
+/// anyway. Every filter is a pure predicate, so the same peers reach
+/// visit in the same order as without the pre-filter.
 struct IndexedExpander {
     const TrustGraph& graph;
     const GraphIndex::Partition* part;
+    std::uint32_t src_index;
+    std::uint32_t dst_index;
+    std::uint64_t& capacity_reads;  // this search's paths.capacity_reads
 
     template <typename Visit>
     void out(std::uint32_t node_index, Visit&& visit) const {
-        if (part == nullptr) return;
-        for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
-            if (graph.is_excluded_index(edge.peer)) continue;
-            const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
-            if (cap.is_zero() || cap.is_negative()) continue;
-            visit(edge.peer, edge.peer_ripples);
-        }
+        walk(node_index, /*outward=*/true, visit);
     }
 
     template <typename Visit>
     void in(std::uint32_t node_index, Visit&& visit) const {
+        walk(node_index, /*outward=*/false, visit);
+    }
+
+    /// Out-edges read the capacity from node_index's end of the line,
+    /// in-edges from the peer's end.
+    template <typename Visit>
+    void walk(std::uint32_t node_index, bool outward, Visit& visit) const {
         if (part == nullptr) return;
+        std::uint64_t reads = 0;
         for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
+            if (!edge.peer_ripples && edge.peer != src_index &&
+                edge.peer != dst_index) {
+                continue;
+            }
             if (graph.is_excluded_index(edge.peer)) continue;
-            const IouAmount cap = edge.line->directed_capacity(!edge.node_is_low);
+            ++reads;
+            const IouAmount cap =
+                edge.line->directed_capacity(edge.node_is_low == outward);
             if (cap.is_zero() || cap.is_negative()) continue;
             visit(edge.peer, edge.peer_ripples);
         }
+        capacity_reads += reads;
     }
 };
 
@@ -252,9 +270,15 @@ std::optional<TrustPath> PathFinder::find(const TrustGraph& graph,
     if (from == to) return std::nullopt;
 
     if (graph.uses_index()) {
-        const IndexedExpander expand{graph, graph.index().partition(currency)};
-        return run_search(graph, expand, from, to, src->index, dst->index,
-                          currency);
+        std::uint64_t capacity_reads = 0;
+        const IndexedExpander expand{graph, graph.index().partition(currency),
+                                     src->index, dst->index, capacity_reads};
+        auto path = run_search(graph, expand, from, to, src->index,
+                               dst->index, currency);
+        // One add per search, like paths.nodes_expanded.
+        static obs::Counter& reads = obs::counter("paths.capacity_reads");
+        reads.add(capacity_reads);
+        return path;
     }
     const ScanExpander expand{graph, currency};
     return run_search(graph, expand, from, to, src->index, dst->index, currency);

@@ -62,8 +62,9 @@ private:
     /// The engine-agnostic bidirectional BFS. `expand.out(i, visit)` /
     /// `expand.in(i, visit)` call visit(peer_index, peer_ripples) for
     /// every positive-capacity, non-excluded neighbor of dense account
-    /// index i. Defined in path_finder.cpp; instantiated there for the
-    /// two expanders.
+    /// index i; an expander may leave out a non-rippling neighbor that
+    /// is neither endpoint, which visit rejects anyway. Defined in
+    /// path_finder.cpp; instantiated there for the two expanders.
     template <typename Expander>
     std::optional<TrustPath> run_search(const TrustGraph& graph,
                                         const Expander& expand,

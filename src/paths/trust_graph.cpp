@@ -4,6 +4,10 @@ namespace xrpl::paths {
 
 void TrustGraph::exclude(const ledger::AccountID& account) {
     excluded_.insert(account);
+    stamp(account);
+}
+
+void TrustGraph::stamp(const ledger::AccountID& account) const {
     if (const ledger::AccountRoot* root = ledger_->account(account)) {
         if (excluded_stamp_.size() < ledger_->account_count()) {
             excluded_stamp_.resize(ledger_->account_count(), 0);

@@ -59,9 +59,14 @@ public:
 
     /// The CSR index, rebuilt here if the ledger topology moved since
     /// the last query. Exclusions never invalidate it (they are
-    /// visit-time filters), and neither do balance/limit updates.
+    /// visit-time filters), and neither do balance/limit updates. A
+    /// rebuild re-stamps every exclusion, because the topology move
+    /// may have created an account that was excluded before it
+    /// existed.
     [[nodiscard]] const GraphIndex& index() const {
-        index_.ensure(*ledger_);
+        if (index_.ensure(*ledger_)) {
+            for (const ledger::AccountID& account : excluded_) stamp(account);
+        }
         return index_;
     }
 
@@ -116,11 +121,16 @@ public:
     [[nodiscard]] const ledger::LedgerState& ledger() const noexcept { return *ledger_; }
 
 private:
+    /// Mark `account`'s dense index excluded in the current epoch; a
+    /// no-op while the account does not exist yet.
+    void stamp(const ledger::AccountID& account) const;
+
     const ledger::LedgerState* ledger_;
     std::unordered_set<ledger::AccountID> excluded_;
     /// excluded_stamp_[i] == exclusion_epoch_ means account index i is
     /// excluded. clear_exclusions() bumps the epoch: O(1), no rewrite.
-    std::vector<std::uint64_t> excluded_stamp_;
+    /// A cache of excluded_ in index space, so index() may refresh it.
+    mutable std::vector<std::uint64_t> excluded_stamp_;
     std::uint64_t exclusion_epoch_ = 1;
     bool use_index_;
     mutable GraphIndex index_;

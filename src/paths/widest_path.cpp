@@ -47,15 +47,19 @@ struct ScanExpander {
 };
 
 /// Indexed engine: flat CSR span walk; capacity read live through the
-/// stored TrustLine pointer, direction resolved by the edge's bit.
+/// stored TrustLine pointer, direction resolved by the edge's bit. An
+/// edge to a non-rippling peer other than the destination is skipped
+/// before the capacity read: run_search would drop it (DefaultRipple).
 struct IndexedExpander {
     const TrustGraph& graph;
     const GraphIndex::Partition* part;
+    std::uint32_t dst_index;
 
     template <typename Visit>
     void out(std::uint32_t node_index, Visit&& visit) const {
         if (part == nullptr) return;
         for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
+            if (!edge.peer_ripples && edge.peer != dst_index) continue;
             if (graph.is_excluded_index(edge.peer)) continue;
             const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
             if (cap.is_zero() || cap.is_negative()) continue;
@@ -163,7 +167,8 @@ std::optional<TrustPath> WidestPathFinder::find(const TrustGraph& graph,
     if (graph.is_excluded(from) || graph.is_excluded(to)) return std::nullopt;
 
     if (graph.uses_index()) {
-        const IndexedExpander expand{graph, graph.index().partition(currency)};
+        const IndexedExpander expand{graph, graph.index().partition(currency),
+                                     dst->index};
         return run_search(graph, expand, from, to, src->index, dst->index);
     }
     const ScanExpander expand{graph, currency};

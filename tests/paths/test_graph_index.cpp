@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "datagen/config.hpp"
+#include "datagen/history.hpp"
 #include "paths/trust_graph.hpp"
 
 namespace xrpl::paths {
@@ -141,6 +145,71 @@ TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
         csr_order.push_back(e.peer);
     }
     EXPECT_EQ(csr_order, scan_order);
+}
+
+TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
+    // A generated population has tens of currencies and gateways with
+    // thousands of lines: every node's span in every partition must be
+    // its currency-filtered lines_of() walk, record for record, and
+    // the row pointers must start at 0 and end at the edge count.
+    datagen::GeneratorConfig config;
+    config.seed = 20130101;
+    config.num_users = 500;
+    config.num_market_makers = 40;
+    config.num_merchants = 100;
+    config.num_hubs = 20;
+    const datagen::PopulationSnapshot snapshot =
+        datagen::generate_population_only(config);
+    const LedgerState& ledger = snapshot.ledger;
+    const auto account_count = static_cast<std::uint32_t>(ledger.account_count());
+
+    std::set<Currency> currencies;
+    for (std::uint32_t i = 0; i < account_count; ++i) {
+        for (const ledger::TrustLine* line :
+             ledger.lines_of(ledger.account_by_index(i))) {
+            currencies.insert(line->key().currency);
+        }
+    }
+    ASSERT_GT(currencies.size(), 2u);
+
+    GraphIndex index;
+    index.build(ledger);
+    ASSERT_EQ(index.partition_count(), currencies.size());
+    EXPECT_EQ(index.edge_count(), 2 * ledger.trustline_count());
+
+    std::size_t mismatched_nodes = 0;
+    for (const Currency currency : currencies) {
+        const GraphIndex::Partition* part = index.partition(currency);
+        ASSERT_NE(part, nullptr) << currency.to_string();
+        ASSERT_EQ(part->offsets.size(), account_count + 1u);
+        EXPECT_EQ(part->offsets.front(), 0u);
+        EXPECT_EQ(part->offsets.back(), part->edges.size());
+        ASSERT_TRUE(std::is_sorted(part->offsets.begin(), part->offsets.end()));
+
+        for (std::uint32_t i = 0; i < account_count; ++i) {
+            const AccountID& node = ledger.account_by_index(i);
+            std::vector<GraphIndex::Edge> expected;
+            for (const ledger::TrustLine* line : ledger.lines_of(node)) {
+                if (!(line->key().currency == currency)) continue;
+                const ledger::AccountRoot* peer =
+                    ledger.account(line->peer_of(node));
+                ASSERT_NE(peer, nullptr);
+                expected.push_back(GraphIndex::Edge{peer->index, line,
+                                                    node == line->key().low,
+                                                    peer->allows_rippling});
+            }
+            const auto span = part->edges_of(i);
+            const bool same = std::equal(
+                span.begin(), span.end(), expected.begin(), expected.end(),
+                [](const GraphIndex::Edge& x, const GraphIndex::Edge& y) {
+                    return x.peer == y.peer && x.line == y.line &&
+                           x.node_is_low == y.node_is_low &&
+                           x.peer_ripples == y.peer_ripples;
+                });
+            if (!same) ++mismatched_nodes;
+        }
+    }
+    EXPECT_EQ(mismatched_nodes, 0u);
 }
 
 TEST_F(GraphIndexTest, RipplingFlagCachedPerEdge) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+
+#include "obs/metrics.hpp"
 
 namespace xrpl::paths {
 namespace {
@@ -232,6 +235,79 @@ TEST_P(PathFinderTest, NoRippleAccountsBlockInteriorRouting) {
     EXPECT_TRUE(finder_.find(g, a, locked, kUsd).has_value());
     // ...and a sender.
     EXPECT_TRUE(finder_.find(g, locked, b, kUsd).has_value());
+}
+
+TEST_P(PathFinderTest, ExclusionBeforeCreationHolds) {
+    // Excluding an account before it exists must keep it out of every
+    // path once it is created and wired in, whether or not the graph
+    // searched (and built its index) in between.
+    const AccountID a = add("a");
+    const AccountID b = add("b");
+    const AccountID x = AccountID::from_seed("x");
+    TrustGraph searched = graph();
+    TrustGraph fresh = graph();
+    searched.exclude(x);
+    fresh.exclude(x);
+    EXPECT_FALSE(finder_.find(searched, a, b, kUsd).has_value());
+
+    ASSERT_EQ(add("x"), x);
+    edge(a, x, 10.0);
+    edge(x, b, 10.0);
+    EXPECT_FALSE(finder_.find(searched, a, b, kUsd).has_value());
+    EXPECT_FALSE(finder_.find(fresh, a, b, kUsd).has_value());
+
+    // The route itself is sound: lifting the exclusion opens it.
+    searched.clear_exclusions();
+    const auto path = finder_.find(searched, a, b, kUsd);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->nodes, (std::vector<AccountID>{a, x, b}));
+}
+
+TEST_P(PathFinderTest, CapacityReadsDoNotGrowWithNonRipplingHolders) {
+    // A gateway whose holders block rippling: searching from one
+    // holder to a merchant expands the gateway, but DefaultRipple rules
+    // every other holder out as a hop, so the indexed engine must not
+    // read their lines. The same search against 10 and 1,000 holders
+    // reads the same capacities: holder -> gateway, then the
+    // gateway's lines to the source and to the merchant. The scan
+    // engine does not count reads.
+    const auto locked = [&](const std::string& seed) {
+        const AccountID id = AccountID::from_seed(seed);
+        state_.create_account(id, ledger::XrpAmount::from_xrp(10.0), false,
+                              /*allows_rippling=*/false);
+        return id;
+    };
+    const auto reads_for = [&](int holders) -> std::uint64_t {
+        const std::string tag = std::to_string(holders);
+        const AccountID gateway = add("gateway" + tag);
+        std::vector<AccountID> held;
+        for (int i = 0; i < holders; ++i) {
+            held.push_back(locked("holder" + tag + "_" + std::to_string(i)));
+            edge(held.back(), gateway, 100.0);
+            edge(gateway, held.back(), 100.0);
+        }
+        const AccountID merchant = locked("merchant" + tag);
+        edge(gateway, merchant, 1000.0);
+
+        const TrustGraph g = graph();
+        obs::Counter& reads = obs::counter("paths.capacity_reads");
+        const bool was_enabled = obs::enabled();
+        obs::set_enabled(true);
+        const std::uint64_t before = reads.value();
+        const auto path = finder_.find(g, held.front(), merchant, kUsd);
+        const std::uint64_t after = reads.value();
+        obs::set_enabled(was_enabled);
+        EXPECT_TRUE(path.has_value());
+        if (path) {
+            EXPECT_EQ(path->nodes,
+                      (std::vector<AccountID>{held.front(), gateway, merchant}));
+        }
+        return after - before;
+    };
+    const std::uint64_t few = reads_for(10);
+    const std::uint64_t many = reads_for(1000);
+    EXPECT_EQ(few, many);
+    EXPECT_EQ(few, GetParam() ? 3u : 0u);
 }
 
 TEST_P(PathFinderTest, HubTopologyFindsFourHopRoute) {
