@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/contract.hpp"
+
 namespace xrpl::ledger {
 
 namespace {
@@ -14,14 +16,22 @@ LedgerState LedgerState::clone() const {
     copy.accounts_ = accounts_;
     copy.index_to_account_ = index_to_account_;
     copy.lines_ = lines_;
+    copy.index_to_currency_ = index_to_currency_;
+    copy.currency_to_index_ = currency_to_index_;
     copy.books_ = books_;
     copy.burned_ = burned_;
     copy.next_offer_id_ = next_offer_id_;
     copy.topology_generation_ = topology_generation_;
-    copy.adjacency_.reserve(adjacency_.size());
+    // Each list gets its exact size up front, and each line names its
+    // endpoints' slots, so the fill is two appends per line: no
+    // hashing, no regrowth.
+    copy.adjacency_.resize(adjacency_.size());
+    for (std::size_t i = 0; i < adjacency_.size(); ++i) {
+        copy.adjacency_[i].reserve(adjacency_[i].size());
+    }
     for (auto& [key, line] : copy.lines_) {
-        copy.adjacency_[key.low].push_back(&line);
-        copy.adjacency_[key.high].push_back(&line);
+        copy.adjacency_[line.low_index()].push_back(&line);
+        copy.adjacency_[line.high_index()].push_back(&line);
     }
     return copy;
 }
@@ -35,6 +45,7 @@ bool LedgerState::create_account(const AccountID& id, XrpAmount initial_balance,
     (void)it;
     if (inserted) {
         index_to_account_.push_back(id);
+        adjacency_.emplace_back();
         ++topology_generation_;
     }
     return inserted;
@@ -78,12 +89,21 @@ TrustLine& LedgerState::set_trust(const AccountID& from, const AccountID& to,
     const TrustLineKey key = TrustLineKey::make(from, to, currency);
     auto it = lines_.find(key);
     if (it == lines_.end()) {
+        const AccountRoot* low = account(key.low);
+        const AccountRoot* high = account(key.high);
+        XRPL_ASSERT(low != nullptr && high != nullptr && low != high,
+                    "a trust line joins two distinct existing accounts");
+        // A currency is numbered when its first line is created.
+        const auto [interned, fresh] = currency_to_index_.try_emplace(
+            currency, static_cast<std::uint32_t>(index_to_currency_.size()));
+        if (fresh) index_to_currency_.push_back(currency);
         const IouAmount zero;
         const bool from_is_low = from == key.low;
-        TrustLine line(key, from_is_low ? limit : zero, from_is_low ? zero : limit);
+        TrustLine line(key, from_is_low ? limit : zero, from_is_low ? zero : limit,
+                       TrustLineIndices{low->index, high->index, interned->second});
         it = lines_.emplace(key, line).first;
-        adjacency_[key.low].push_back(&it->second);
-        adjacency_[key.high].push_back(&it->second);
+        adjacency_[low->index].push_back(&it->second);
+        adjacency_[high->index].push_back(&it->second);
         ++topology_generation_;
     } else {
         it->second.set_limit_of(from, limit);
@@ -105,8 +125,15 @@ TrustLine* LedgerState::trustline(const AccountID& a, const AccountID& b,
 
 const std::vector<TrustLine*>& LedgerState::lines_of(
     const AccountID& account) const noexcept {
-    const auto it = adjacency_.find(account);
-    return it == adjacency_.end() ? kNoLines : it->second;
+    const AccountRoot* root = this->account(account);
+    return root == nullptr ? kNoLines : adjacency_[root->index];
+}
+
+std::optional<std::uint32_t> LedgerState::currency_index(
+    Currency currency) const noexcept {
+    const auto it = currency_to_index_.find(currency);
+    if (it == currency_to_index_.end()) return std::nullopt;
+    return it->second;
 }
 
 double LedgerState::net_iou_balance(

@@ -2,7 +2,12 @@
 //
 // This is the mutable "current ledger" the payment engine executes
 // against. Trust lines are stored node-based so pointers handed to
-// the adjacency index stay valid across insertions.
+// the adjacency index stay valid across insertions. The topology is
+// addressed by dense index: accounts and currencies are numbered in
+// creation order, every trust line records the numbers of its two
+// endpoints and its currency, and the adjacency lists are a vector
+// keyed by account number. So clone() and paths::GraphIndex walk it
+// without hashing an AccountID or searching for a currency.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +91,12 @@ public:
     LedgerState(LedgerState&&) = default;
     LedgerState& operator=(LedgerState&&) = default;
 
-    /// Deep copy with a freshly rebuilt adjacency index. Replay
-    /// experiments run against a clone so the original snapshot stays
-    /// pristine.
+    /// Deep copy with a freshly rebuilt adjacency index, filled from
+    /// the lines' recorded endpoint indices in the copied line map's
+    /// iteration order (so a clone's lines_of() order is the map's,
+    /// as it has always been, not the original's creation order).
+    /// Replay experiments run against a clone so the original
+    /// snapshot stays pristine.
     [[nodiscard]] LedgerState clone() const;
 
     // --- accounts ---------------------------------------------------
@@ -127,6 +135,8 @@ public:
 
     /// `from` declares trust of `limit` towards `to` in `currency`.
     /// Creates the line if absent; updates the limit otherwise.
+    /// Precondition: `from` and `to` exist and differ (a new line
+    /// records both accounts' dense indices).
     TrustLine& set_trust(const AccountID& from, const AccountID& to,
                          Currency currency, IouAmount limit);
 
@@ -135,11 +145,33 @@ public:
     [[nodiscard]] TrustLine* trustline(const AccountID& a, const AccountID& b,
                                        Currency currency) noexcept;
 
-    /// All trust lines touching `account` (any currency).
+    /// All trust lines touching `account` (any currency), in creation
+    /// order (in a clone: the order clone() documents).
     [[nodiscard]] const std::vector<TrustLine*>& lines_of(
         const AccountID& account) const noexcept;
 
+    /// lines_of() the account with dense index `index`, without the
+    /// ID lookup. Precondition: index < account_count().
+    [[nodiscard]] const std::vector<TrustLine*>& lines_by_index(
+        std::uint32_t index) const noexcept {
+        return adjacency_[index];
+    }
+
     [[nodiscard]] std::size_t trustline_count() const noexcept { return lines_.size(); }
+
+    /// Currencies are numbered densely (0-based) in the order their
+    /// first trust line was created; TrustLine::currency_index() is
+    /// this number.
+    [[nodiscard]] std::size_t currency_count() const noexcept {
+        return index_to_currency_.size();
+    }
+    /// The currency numbered `index`. Precondition: index < currency_count().
+    [[nodiscard]] Currency currency_by_index(std::uint32_t index) const {
+        return index_to_currency_.at(index);
+    }
+    /// The number of `currency`, or nullopt if no trust line uses it.
+    [[nodiscard]] std::optional<std::uint32_t> currency_index(
+        Currency currency) const noexcept;
 
     /// Monotonic counter bumped on every TOPOLOGY change — account
     /// creation or trust-line creation. Balance and limit updates on
@@ -200,7 +232,9 @@ private:
     std::unordered_map<AccountID, AccountRoot> accounts_;
     std::vector<AccountID> index_to_account_;
     std::unordered_map<TrustLineKey, TrustLine> lines_;
-    std::unordered_map<AccountID, std::vector<TrustLine*>> adjacency_;
+    std::vector<std::vector<TrustLine*>> adjacency_;  // by account index
+    std::vector<Currency> index_to_currency_;
+    std::unordered_map<Currency, std::uint32_t> currency_to_index_;
     std::unordered_map<BookKey, std::vector<Offer>> books_;
     XrpAmount burned_;
     std::uint64_t next_offer_id_ = 1;

@@ -23,29 +23,30 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     const auto account_count =
         static_cast<std::uint32_t>(ledger.account_count());
 
-    // The partition of `currency`, inserted in sorted position the
-    // first time the currency shows up. There are tens of currencies,
-    // so the binary search and the rare insert stay cheap.
+    // One partition per currency, at the currency's ledger index
+    // during the walks (the ledger numbers a currency with its first
+    // trust line, so none is empty), sorted by currency at the end.
     partitions_.clear();
-    const auto partition_of = [&](ledger::Currency currency) -> Partition& {
-        const auto it = std::lower_bound(partitions_.begin(), partitions_.end(),
-                                         currency, currency_below);
-        if (it != partitions_.end() && it->currency == currency) return *it;
-        Partition part;
-        part.currency = currency;
-        part.offsets.assign(account_count + 1, 0);
-        return *partitions_.insert(it, std::move(part));
-    };
+    partitions_.resize(ledger.currency_count());
+    for (std::uint32_t c = 0; c < partitions_.size(); ++c) {
+        partitions_[c].currency = ledger.currency_by_index(c);
+        partitions_[c].offsets.assign(account_count + 1, 0);
+    }
 
-    // Walk 1 — discover the currency set and count each node's degree
-    // per partition into offsets[i + 1]. Iterating accounts in dense
-    // index order (not the unordered line map) keeps the build
-    // deterministic and gives each line exactly two visits, one per
-    // endpoint.
+    // Each account's DefaultRipple flag, read once by walking the
+    // account map rather than once per edge through a lookup.
+    std::vector<bool> ripples(account_count);
+    for (const auto& [id, root] : ledger.accounts()) {
+        ripples[root.index] = root.allows_rippling;
+    }
+
+    // Walk 1 — count each node's degree per partition into
+    // offsets[i + 1]. Iterating accounts in dense index order (not the
+    // unordered line map) keeps the build deterministic and gives each
+    // line exactly two visits, one per endpoint.
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line :
-             ledger.lines_of(ledger.account_by_index(i))) {
-            ++partition_of(line->key().currency).offsets[i + 1];
+        for (const ledger::TrustLine* line : ledger.lines_by_index(i)) {
+            ++partitions_[line->currency_index()].offsets[i + 1];
         }
     }
     for (Partition& part : partitions_) {
@@ -55,23 +56,21 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     }
 
     // Walk 2 — fill every partition at once. offsets[i] is row i's
-    // write cursor, so a node's edges land in lines_of() insertion
-    // order (the legacy scan's enumeration order, which is what makes
-    // the two engines return identical paths when ties exist). The
-    // walk leaves offsets[i] at row i's end, which is row i + 1's
-    // start; shifting the pointers one slot right restores them.
+    // write cursor, so a node's edges land in lines_of() order (the
+    // legacy scan's enumeration order, which is what makes the two
+    // engines return identical paths when ties exist). The walk
+    // leaves offsets[i] at row i's end, which is row i + 1's start;
+    // shifting the pointers one slot right restores them.
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        const ledger::AccountID& node = ledger.account_by_index(i);
-        for (const ledger::TrustLine* line : ledger.lines_of(node)) {
-            Partition& part = partition_of(line->key().currency);
-            const bool node_is_low = node == line->key().low;
-            const ledger::AccountID& peer_id =
-                node_is_low ? line->key().high : line->key().low;
-            const ledger::AccountRoot* peer = ledger.account(peer_id);
-            XRPL_ASSERT(peer != nullptr,
-                        "trust lines must connect existing accounts");
+        for (const ledger::TrustLine* line : ledger.lines_by_index(i)) {
+            Partition& part = partitions_[line->currency_index()];
+            const bool node_is_low = line->low_index() == i;
+            XRPL_INVARIANT(node_is_low || line->high_index() == i,
+                           "a line listed under an account records it as an endpoint");
+            const std::uint32_t peer =
+                node_is_low ? line->high_index() : line->low_index();
             part.edges[part.offsets[i]++] =
-                Edge{peer->index, line, node_is_low, peer->allows_rippling};
+                Edge{peer, line, node_is_low, ripples[peer]};
         }
     }
     for (Partition& part : partitions_) {
@@ -79,6 +78,10 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
                            part.offsets.end());
         part.offsets.front() = 0;
     }
+    std::sort(partitions_.begin(), partitions_.end(),
+              [](const Partition& a, const Partition& b) {
+                  return a.currency < b.currency;
+              });
 
     built_ = true;
     built_generation_ = ledger.topology_generation();

@@ -57,8 +57,11 @@ public:
     };
 
     /// Rebuild from scratch (unconditionally): two walks over every
-    /// account's lines_of() in dense-index order, one to discover the
-    /// currencies and count degrees, one to fill all partitions.
+    /// account's lines (LedgerState::lines_by_index) in dense-index
+    /// order, one to count degrees, one to fill all partitions. An
+    /// edge's partition, peer and direction are array lookups on the
+    /// line's recorded indices (TrustLine::currency_index, low_index,
+    /// high_index): the build hashes no AccountID.
     void build(const ledger::LedgerState& ledger);
 
     /// Lazy freshness: rebuild only if the ledger's topology
@@ -68,7 +71,9 @@ public:
     bool ensure(const ledger::LedgerState& ledger);
 
     /// The CSR table for `currency`, or nullptr when no trust line in
-    /// that currency exists (partitions are sorted by currency).
+    /// that currency exists. The build addresses partitions by the
+    /// ledger's currency index and then sorts them by currency, so
+    /// this is one binary search (a search calls it once).
     [[nodiscard]] const Partition* partition(
         ledger::Currency currency) const noexcept;
 

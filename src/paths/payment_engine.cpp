@@ -395,16 +395,30 @@ TxResult PaymentEngine::apply(const Transaction& tx) {
             break;
         }
         case ledger::TxType::kAccountCreate: {
-            // Activation: fund a new account with the XRP amount.
+            // Activation: fund a new account with the XRP amount. The
+            // account is created only once the funding is known to
+            // succeed (xrp_payment's sender checks), so a failed
+            // create leaves neither an account nor a topology change.
+            const XrpAmount drops = to_drops(tx.amount.value);
+            const ledger::AccountRoot* sender = ledger_->account(tx.sender);
+            if (sender == nullptr || drops.drops <= 0 ||
+                sender->balance.drops < drops.drops + config_.fee.drops) {
+                break;
+            }
             if (!ledger_->account(tx.destination)) {
                 ledger_->create_account(tx.destination, XrpAmount{0});
             }
-            result.success = ledger_->xrp_payment(
-                tx.sender, tx.destination, to_drops(tx.amount.value), config_.fee);
+            result.success = ledger_->xrp_payment(tx.sender, tx.destination, drops,
+                                                  config_.fee);
             if (result.success) result.delivered = tx.amount;
             break;
         }
         case ledger::TxType::kTrustSet: {
+            // A trust line joins two distinct existing accounts.
+            if (tx.sender == tx.trust_peer || !ledger_->account(tx.sender) ||
+                !ledger_->account(tx.trust_peer)) {
+                break;
+            }
             ledger_->set_trust(tx.sender, tx.trust_peer, tx.trust_currency,
                                tx.trust_limit);
             result.success = true;

@@ -32,6 +32,18 @@ TEST_F(LedgerStateTest, DenseIndicesAreSequential) {
     EXPECT_EQ(state_.account(bob_)->index, 1u);
     EXPECT_EQ(state_.account(gateway_)->index, 2u);
     EXPECT_EQ(state_.account_by_index(1), bob_);
+
+    // Currencies are numbered by their first trust line.
+    const Currency eur = Currency::from_code("EUR");
+    EXPECT_EQ(state_.currency_count(), 0u);
+    state_.set_trust(alice_, gateway_, eur, IouAmount::from_double(1.0));
+    state_.set_trust(alice_, gateway_, usd_, IouAmount::from_double(1.0));
+    state_.set_trust(bob_, gateway_, eur, IouAmount::from_double(1.0));
+    EXPECT_EQ(state_.currency_count(), 2u);
+    EXPECT_EQ(state_.currency_by_index(0), eur);
+    EXPECT_EQ(state_.currency_by_index(1), usd_);
+    EXPECT_EQ(state_.currency_index(usd_), 1u);
+    EXPECT_FALSE(state_.currency_index(Currency::from_code("BTC")).has_value());
 }
 
 TEST_F(LedgerStateTest, GatewayFlagStored) {
@@ -153,14 +165,37 @@ TEST_F(LedgerStateTest, TrustSummarySplitsDirections) {
 }
 
 TEST_F(LedgerStateTest, CloneIsDeepAndIndependent) {
+    const Currency eur = Currency::from_code("EUR");
     state_.set_trust(alice_, gateway_, usd_, IouAmount::from_double(100.0));
-    state_.place_offer(gateway_, Amount::iou(usd_, 10.0),
-                       Amount::iou(Currency::from_code("EUR"), 9.0));
+    state_.set_trust(gateway_, bob_, eur, IouAmount::from_double(40.0));
+    state_.place_offer(gateway_, Amount::iou(usd_, 10.0), Amount::iou(eur, 9.0));
 
     LedgerState copy = state_.clone();
     EXPECT_EQ(copy.account_count(), state_.account_count());
     EXPECT_EQ(copy.trustline_count(), state_.trustline_count());
     EXPECT_EQ(copy.offer_count(), state_.offer_count());
+    EXPECT_EQ(copy.currency_count(), state_.currency_count());
+
+    // Every line records its endpoints' account indices and its
+    // currency's index, in the original and in the clone, and sits in
+    // exactly its two endpoints' adjacency lists.
+    for (const LedgerState* ledger : {&state_, &copy}) {
+        std::size_t listed = 0;
+        for (std::uint32_t i = 0; i < ledger->account_count(); ++i) {
+            for (const TrustLine* line : ledger->lines_by_index(i)) {
+                const TrustLineKey& key = line->key();
+                EXPECT_EQ(line->low_index(), ledger->account(key.low)->index);
+                EXPECT_EQ(line->high_index(), ledger->account(key.high)->index);
+                EXPECT_TRUE(line->low_index() == i || line->high_index() == i);
+                EXPECT_EQ(ledger->currency_by_index(line->currency_index()),
+                          key.currency);
+                EXPECT_EQ(ledger->currency_index(key.currency),
+                          line->currency_index());
+                ++listed;
+            }
+        }
+        EXPECT_EQ(listed, 2 * ledger->trustline_count());
+    }
 
     // Mutating the copy leaves the original untouched.
     TrustLine* copy_line = copy.trustline(alice_, gateway_, usd_);

@@ -5,6 +5,10 @@
 namespace xrpl::ledger {
 namespace {
 
+// The recorded dense indices start in the 43-byte key's alignment
+// padding; appending them after the limits would cost 112 bytes.
+static_assert(sizeof(TrustLine) == 104);
+
 class TrustLineTest : public ::testing::Test {
 protected:
     const AccountID alice_ = AccountID::from_seed("alice");

@@ -147,22 +147,12 @@ TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
     EXPECT_EQ(csr_order, scan_order);
 }
 
-TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
-    // A generated population has tens of currencies and gateways with
-    // thousands of lines: every node's span in every partition must be
-    // its currency-filtered lines_of() walk, record for record, and
-    // the row pointers must start at 0 and end at the edge count.
-    datagen::GeneratorConfig config;
-    config.seed = 20130101;
-    config.num_users = 500;
-    config.num_market_makers = 40;
-    config.num_merchants = 100;
-    config.num_hubs = 20;
-    const datagen::PopulationSnapshot snapshot =
-        datagen::generate_population_only(config);
-    const LedgerState& ledger = snapshot.ledger;
+/// Every node's span in every partition of `index` is its
+/// currency-filtered lines_of() walk, record for record, and the row
+/// pointers start at 0 and end at the edge count.
+void expect_partitions_match_lines_of(const LedgerState& ledger,
+                                      const GraphIndex& index) {
     const auto account_count = static_cast<std::uint32_t>(ledger.account_count());
-
     std::set<Currency> currencies;
     for (std::uint32_t i = 0; i < account_count; ++i) {
         for (const ledger::TrustLine* line :
@@ -171,9 +161,6 @@ TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
         }
     }
     ASSERT_GT(currencies.size(), 2u);
-
-    GraphIndex index;
-    index.build(ledger);
     ASSERT_EQ(index.partition_count(), currencies.size());
     EXPECT_EQ(index.edge_count(), 2 * ledger.trustline_count());
 
@@ -210,6 +197,52 @@ TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
         }
     }
     EXPECT_EQ(mismatched_nodes, 0u);
+}
+
+TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
+    // A generated population has tens of currencies and gateways with
+    // thousands of lines. The index must match lines_of() on it, on a
+    // clone (whose adjacency clone() refills from the lines' recorded
+    // indices), and on the clone after an account and a line in a
+    // currency that had none force a rebuild with a new partition.
+    datagen::GeneratorConfig config;
+    config.seed = 20130101;
+    config.num_users = 500;
+    config.num_market_makers = 40;
+    config.num_merchants = 100;
+    config.num_hubs = 20;
+    const datagen::PopulationSnapshot snapshot =
+        datagen::generate_population_only(config);
+
+    GraphIndex index;
+    index.build(snapshot.ledger);
+    {
+        SCOPED_TRACE("original");
+        expect_partitions_match_lines_of(snapshot.ledger, index);
+    }
+
+    LedgerState copy = snapshot.ledger.clone();
+    GraphIndex copy_index;
+    ASSERT_TRUE(copy_index.ensure(copy));
+    {
+        SCOPED_TRACE("clone");
+        expect_partitions_match_lines_of(copy, copy_index);
+    }
+
+    const Currency fresh = Currency::from_code("ZZZ");
+    ASSERT_FALSE(copy.currency_index(fresh).has_value());
+    const AccountID newcomer = AccountID::from_seed("graph-index:newcomer");
+    ASSERT_TRUE(copy.create_account(newcomer, ledger::XrpAmount::from_xrp(10.0)));
+    copy.set_trust(newcomer, copy.account_by_index(0), fresh,
+                   IouAmount::from_double(100.0));
+    const std::size_t partitions_before = copy_index.partition_count();
+    ASSERT_TRUE(copy_index.ensure(copy));
+    EXPECT_EQ(copy_index.partition_count(), partitions_before + 1);
+    ASSERT_NE(copy_index.partition(fresh), nullptr);
+    {
+        SCOPED_TRACE("clone after a new currency");
+        expect_partitions_match_lines_of(copy, copy_index);
+    }
 }
 
 TEST_F(GraphIndexTest, RipplingFlagCachedPerEdge) {

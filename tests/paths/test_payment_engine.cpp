@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace xrpl::paths {
 namespace {
@@ -430,6 +431,62 @@ TEST_F(PaymentEngineTest, ApplyDispatchesTrustSetAndOffer) {
     offer.taker_gets = Amount::iou(kEur, 8.0);
     EXPECT_TRUE(engine.apply(offer).success);
     EXPECT_EQ(state_.offer_count(), 1u);
+}
+
+TEST_F(PaymentEngineTest, ApplyTrustSetRejectsUnknownOrSelfPeer) {
+    // A trust line joins two distinct existing accounts: a TrustSet
+    // naming a missing account or the sender itself fails and leaves
+    // the ledger as it was, so the next indexed search still builds.
+    const AccountID a = add("a");
+    const AccountID b = add("b");
+    const AccountID ghost = AccountID::from_seed("ghost");
+    EngineConfig config;
+    config.use_path_index = true;
+    PaymentEngine engine(state_, config);
+    const std::uint64_t generation = state_.topology_generation();
+
+    ledger::Transaction trust;
+    trust.type = ledger::TxType::kTrustSet;
+    trust.trust_currency = kUsd;
+    trust.trust_limit = IouAmount::from_double(77.0);
+    const std::pair<AccountID, AccountID> rejected[] = {
+        {ghost, a}, {a, ghost}, {a, a}};
+    for (const auto& [sender, peer] : rejected) {
+        trust.sender = sender;
+        trust.trust_peer = peer;
+        EXPECT_FALSE(engine.apply(trust).success);
+    }
+    EXPECT_EQ(state_.trustline_count(), 0u);
+    EXPECT_EQ(state_.topology_generation(), generation);
+    EXPECT_EQ(state_.account(ghost), nullptr);
+
+    edge(a, b, kUsd, 50.0);
+    EXPECT_TRUE(engine.execute(request(a, b, kUsd, 20.0)).success);
+}
+
+TEST_F(PaymentEngineTest, FailedAccountCreateLeavesNoAccount) {
+    const AccountID poor = add("poor", 1.0);
+    const AccountID fresh = AccountID::from_seed("fresh");
+    PaymentEngine engine(state_);
+    const std::uint64_t generation = state_.topology_generation();
+    const std::size_t accounts = state_.account_count();
+
+    ledger::Transaction create;
+    create.type = ledger::TxType::kAccountCreate;
+    create.destination = fresh;
+    // Short of the amount; short of the fee only; no such sender.
+    create.sender = poor;
+    create.amount = Amount::xrp(100.0);
+    EXPECT_FALSE(engine.apply(create).success);
+    create.amount = Amount::xrp(1.0);
+    EXPECT_FALSE(engine.apply(create).success);
+    create.sender = AccountID::from_seed("ghost");
+    EXPECT_FALSE(engine.apply(create).success);
+
+    EXPECT_EQ(state_.account(fresh), nullptr);
+    EXPECT_EQ(state_.account_count(), accounts);
+    EXPECT_EQ(state_.topology_generation(), generation);
+    EXPECT_EQ(state_.account(poor)->balance.drops, 1'000'000);
 }
 
 TEST_F(PaymentEngineTest, ApplyAccountCreateActivatesAccount) {

@@ -71,3 +71,9 @@ print("obs smoke run OK:", len(obs["counters"]), "counters,",
       len(obs["histograms"]), "histograms, warm pass cache-served")
 EOF
 rm -rf "${obs_dir}"
+# Benchmark smoke, the same step as CI's tier1 job: builds perfbench/
+# against this tree's src/ (Release, in .bench_build/) and runs every
+# workload at tiny size, so a change to the ledger, engine or obs
+# calls the benchmark makes fails here rather than in a benchmark run.
+echo "--- perfbench smoke ---"
+python3 ../perfbench/check.py smoke
