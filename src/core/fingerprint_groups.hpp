@@ -3,11 +3,16 @@
 //
 // Payments with equal fingerprints are indistinguishable to the
 // attacker, so each fingerprint's payments form one group. The
-// grouping is a sort: row i's fingerprint (fingerprint_column writes
-// one slot per row) is paired with a caller key, and the pairs are
-// sorted under their total order, so every run of equal fingerprints
-// is one group with its keys ascending. Neither step depends on the
-// thread count.
+// grouping is a bucketed sort on the shared pool: row i's fingerprint
+// (fingerprint_column writes one slot per row) is paired with a
+// caller key, the pairs are scattered into 1,024 buckets by their top
+// 10 fingerprint bits, and each bucket is sorted under the pairs'
+// total order. Equal fingerprints share their top bits, so no group
+// spans two buckets, and the buckets ascend, so the result is the
+// array one whole-array sort gives: every run of equal fingerprints is
+// one group with its keys ascending. The chunks, the sort tasks' bucket
+// ranges and the walk's slices are fixed by the row count and
+// constants, never by the thread count.
 //
 // The keys are owner ids for the IG variants and the anonymity
 // profile — the sender for Fig 3, the wallet's real owner for the

@@ -20,8 +20,10 @@ namespace xrpl::exec {
 /// Default rows per chunk. Large enough that per-chunk hash maps and
 /// scheduling amortize to noise (a task is ~8k rows of hashing, a
 /// claim is one mutex round-trip), small enough that the default
-/// 250k-payment bench dataset still splits ~31 ways — and the ten
-/// Fig 3 configurations × chunks grid keeps every worker busy.
+/// 250k-payment bench dataset still splits ~31 ways. The chunk count
+/// bounds one scan's parallelism; it does not keep the workers busy:
+/// serial work between scans idles them, which perfbench reports as
+/// exec.utilisation.
 inline constexpr std::size_t kDefaultChunkRows = 8192;
 
 class ChunkedView {

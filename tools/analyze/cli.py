@@ -94,6 +94,7 @@ SELF_TEST_EXPECTATIONS = {
     "capture_stale.cpp": {"stale-annotation"},
     "globals_good.cpp": set(),
     "globals_bad.cpp": {"global-state"},
+    "globals_braced_bad.cpp": {"global-state"},
 }
 
 

@@ -46,6 +46,26 @@ def _skip_balanced(toks, i, open_text, close_text):
     return len(toks)
 
 
+def _opens_initializer(stmt):
+    """Whether a `{` following `stmt` starts a brace initializer
+    (`T g{1}`, `T g = T{1}`, `T g(T{1})`) rather than a function,
+    class or enum body: the statement holds an `=` outside parentheses
+    (a function's default arguments sit inside them; a template head's
+    are not counted), or it holds neither a `)` nor a class key."""
+    texts = [t.text for t in stmt]
+    if not texts:
+        return False  # a body right after a constructor's `x_{1}`
+    depth = 0
+    for text in texts:
+        if text == "(":
+            depth += 1
+        elif text == ")":
+            depth -= 1
+        elif text == "=" and depth == 0 and texts[0] != "template":
+            return True
+    return ")" not in texts and not _TYPE_KEYS.intersection(texts)
+
+
 def _statement_findings(path, stmt):
     """Classify one namespace-scope `...;` statement; return a Finding
     for a mutable variable definition, else None."""
@@ -132,7 +152,7 @@ def check_file(path, text, annotations):
                 scopes.append(True)
                 stmt = []
                 i += 1
-            elif stmt and stmt[-1].text in ("=", ",", "(", "{"):
+            elif _opens_initializer(stmt):
                 # brace initializer inside the statement
                 i = _skip_balanced(toks, i, "{", "}")
             else:

@@ -16,12 +16,13 @@ cd build && ctest --output-on-failure -j
 # The golden suites ride along: ReplayParityTest (indexed-vs-scan
 # path-engine parity, golden Table II) and ColumnarParityTest (the
 # pinned Fig 3 / anonymity / attack / mitigation / clustering / spam
-# values) must hold at every pool width too. CI's width step runs the
-# same filter.
+# values) must hold at every pool width too, and FingerprintGroupsTest
+# checks the bucketed fingerprint sort against one whole-array sort.
+# CI's width step runs the same filter.
 for width in 1 8; do
   echo "--- determinism + golden suites at XRPL_THREADS=${width} ---"
   XRPL_THREADS="${width}" ./tests/xrpl_tests \
-    --gtest_filter='DeterminismTest.*:ShardedDeterminismTest.*:ShardedSlicingTest.*:ObsParityTest.*:ReplayParityTest.*:ColumnarParityTest.*' \
+    --gtest_filter='DeterminismTest.*:ShardedDeterminismTest.*:ShardedSlicingTest.*:ObsParityTest.*:ReplayParityTest.*:ColumnarParityTest.*:FingerprintGroupsTest.*' \
     --gtest_brief=1
 done
 # XCOL round-trip determinism: the snapshot a width-1 process saves
