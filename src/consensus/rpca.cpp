@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
@@ -56,6 +57,7 @@ ConsensusSimulation::ConsensusSimulation(std::vector<ValidatorSpec> specs,
         v.node_key = derive_node_key(spec.label);
         v.spec = std::move(spec);
         if (v.spec.on_unl) ++unl_size_;
+        if (v.is_testnet()) ++testnet_size_;
         validators_.push_back(std::move(v));
     }
 }
@@ -89,37 +91,33 @@ RoundOutcome ConsensusSimulation::run_round(std::uint64_t round,
     XRPL_INVARIANT(quorum_votes <= unl_size_,
                    "required votes cannot exceed the UNL size");
 
-    // Candidate pages this round. Their hashes depend on the entire
-    // history below them, via the parent-hash chain.
-    const ledger::Hash256 main_parent =
-        main_chain_.empty() ? ledger::Hash256{} : main_chain_.last().hash;
-    const ledger::Hash256 main_candidate = ledger::compute_page_hash(
-        static_cast<std::uint32_t>(main_chain_.size() + 1), main_parent,
-        close_time, tx_ids);
-    const ledger::Hash256 testnet_parent =
-        testnet_chain_.empty() ? ledger::Hash256{} : testnet_chain_.last().hash;
-    const ledger::Hash256 testnet_candidate = ledger::compute_page_hash(
-        static_cast<std::uint32_t>(testnet_chain_.size() + 1), testnet_parent,
-        close_time, {testnet_tag()});
+    // Candidate pages this round, each hashed once: validators sign
+    // the candidate's hash and a quorum seals the same page object.
+    // Their hashes depend on the entire history below them, via the
+    // parent-hash chain. A period without testnet validators never
+    // builds a testnet page.
+    ledger::ClosedLedger main_candidate = main_chain_.candidate(close_time, std::move(tx_ids));
+    std::optional<ledger::ClosedLedger> testnet_candidate;
+    if (testnet_size_ > 0) {
+        testnet_candidate = testnet_chain_.candidate(close_time, {testnet_tag()});
+    }
 
     std::size_t unl_candidate_votes = 0;
     std::size_t testnet_votes = 0;
-    std::size_t testnet_population = 0;
     std::size_t validations_published = 0;
 
     for (const Validator& v : validators_) {
-        if (v.is_testnet()) ++testnet_population;
         if (!rng_.bernoulli(v.availability())) continue;
 
         ledger::Hash256 signed_hash;
         bool votes_main_candidate = false;
         if (v.is_testnet()) {
-            signed_hash = testnet_candidate;
+            signed_hash = testnet_candidate->hash;
             ++testnet_votes;
         } else if (v.spec.behavior == ValidatorBehavior::kForked) {
             signed_hash = divergent_hash(round, v.index);
         } else if (rng_.bernoulli(v.sync_probability())) {
-            signed_hash = main_candidate;
+            signed_hash = main_candidate.hash;
             votes_main_candidate = true;
         } else {
             signed_hash = divergent_hash(round, v.index);
@@ -148,11 +146,10 @@ RoundOutcome ConsensusSimulation::run_round(std::uint64_t round,
 
     // Main chain quorum check.
     if (unl_candidate_votes >= quorum_votes && unl_size_ > 0) {
-        main_chain_.append(close_time, std::move(tx_ids));
+        outcome.main_page = main_chain_.append(std::move(main_candidate)).hash;
         ++cumulative_.main_pages_closed;
         outcome.main_closed = true;
-        outcome.main_page = main_candidate;
-        stream.publish(PageClosed{round, ChainTag::kMain, main_candidate});
+        stream.publish(PageClosed{round, ChainTag::kMain, outcome.main_page});
         static obs::Counter& pages_main = obs::counter("consensus.pages.main");
         pages_main.add();
     } else {
@@ -162,14 +159,15 @@ RoundOutcome ConsensusSimulation::run_round(std::uint64_t round,
     }
 
     // Testnet: same 80% rule among testnet validators.
-    if (testnet_population > 0) {
+    if (testnet_candidate) {
         const auto testnet_quorum = static_cast<std::size_t>(
-            std::ceil(config_.quorum * static_cast<double>(testnet_population)));
+            std::ceil(config_.quorum * static_cast<double>(testnet_size_)));
         if (testnet_votes >= testnet_quorum) {
-            testnet_chain_.append(close_time, {testnet_tag()});
+            const ledger::Hash256 sealed =
+                testnet_chain_.append(std::move(*testnet_candidate)).hash;
             ++cumulative_.testnet_pages_closed;
             outcome.testnet_closed = true;
-            stream.publish(PageClosed{round, ChainTag::kTestnet, testnet_candidate});
+            stream.publish(PageClosed{round, ChainTag::kTestnet, sealed});
             static obs::Counter& pages_tn =
                 obs::counter("consensus.pages.testnet");
             pages_tn.add();

@@ -86,6 +86,7 @@ private:
     ledger::LedgerHistory main_chain_;
     ledger::LedgerHistory testnet_chain_;
     std::size_t unl_size_ = 0;
+    std::size_t testnet_size_ = 0;  // testnet validators (its quorum denominator)
     // Placeholder generator; re-seeded from config_.seed (a stream
     // key) on the first round.
     util::Rng rng_ = util::RngStream(0).rng();

@@ -1,7 +1,9 @@
 #include "ledger/ledger_history.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "util/contract.hpp"
 #include "util/sha256.hpp"
 
 namespace xrpl::ledger {
@@ -30,8 +32,8 @@ Hash256 compute_page_hash(std::uint32_t sequence, const Hash256& parent_hash,
     return out;
 }
 
-const ClosedLedger& LedgerHistory::append(util::RippleTime close_time,
-                                          std::vector<Hash256> tx_ids) {
+ClosedLedger LedgerHistory::candidate(util::RippleTime close_time,
+                                      std::vector<Hash256> tx_ids) const {
     ClosedLedger page;
     page.sequence = static_cast<std::uint32_t>(pages_.size() + 1);
     page.parent_hash = pages_.empty() ? Hash256{} : pages_.back().hash;
@@ -39,6 +41,21 @@ const ClosedLedger& LedgerHistory::append(util::RippleTime close_time,
     page.tx_ids = std::move(tx_ids);
     page.hash = compute_page_hash(page.sequence, page.parent_hash, page.close_time,
                                   page.tx_ids);
+    return page;
+}
+
+const ClosedLedger& LedgerHistory::append(ClosedLedger page) {
+    // A stale candidate (built before another page sealed) would put
+    // two pages at one sequence, or fork the parent chain.
+    if (page.sequence != pages_.size() + 1) {
+        throw std::invalid_argument("LedgerHistory: page sequence does not follow the tip");
+    }
+    if (page.parent_hash != (pages_.empty() ? Hash256{} : pages_.back().hash)) {
+        throw std::invalid_argument("LedgerHistory: page parent is not the tip");
+    }
+    XRPL_ASSERT(page.hash == compute_page_hash(page.sequence, page.parent_hash,
+                                               page.close_time, page.tx_ids),
+                "a sealed page's hash must cover its contents");
     pages_.push_back(std::move(page));
     return pages_.back();
 }

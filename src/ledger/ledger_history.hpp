@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ledger/types.hpp"
@@ -30,11 +31,28 @@ struct ClosedLedger {
                                         const std::vector<Hash256>& tx_ids);
 
 /// The append-only chain of closed ledgers.
+///
+/// A page is hashed once: candidate() builds and hashes the next page,
+/// and append() seals that same object, so a consensus round can sign
+/// the candidate's hash and seal it without hashing it again.
 class LedgerHistory {
 public:
+    /// The page that would seal next: the next sequence, linked to the
+    /// current tip, with its hash computed. The history is unchanged.
+    [[nodiscard]] ClosedLedger candidate(util::RippleTime close_time,
+                                         std::vector<Hash256> tx_ids) const;
+
+    /// Seal `page`, which must be the next page: candidate()'s output
+    /// for the current tip. Throws std::invalid_argument when its
+    /// sequence or parent hash does not continue the chain; with
+    /// contracts on, also asserts that its hash matches its contents.
+    const ClosedLedger& append(ClosedLedger page);
+
     /// Seal the next page with the given transactions.
     const ClosedLedger& append(util::RippleTime close_time,
-                               std::vector<Hash256> tx_ids);
+                               std::vector<Hash256> tx_ids) {
+        return append(candidate(close_time, std::move(tx_ids)));
+    }
 
     [[nodiscard]] std::size_t size() const noexcept { return pages_.size(); }
     [[nodiscard]] bool empty() const noexcept { return pages_.empty(); }

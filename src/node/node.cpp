@@ -31,7 +31,7 @@ RoundReport Node::run_round() {
 
     RoundReport report;
     report.close_time = clock_;
-    report.outcome = consensus_.run_round(round_, clock_, tx_ids, stream_);
+    report.outcome = consensus_.run_round(round_, clock_, std::move(tx_ids), stream_);
 
     if (!report.outcome.main_closed) {
         // No agreement: the candidate set is retried next round.

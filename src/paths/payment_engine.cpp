@@ -425,6 +425,19 @@ TxResult PaymentEngine::apply(const Transaction& tx) {
             break;
         }
         case ledger::TxType::kOfferCreate: {
+            // An offer needs an existing owner, two positive amounts and
+            // two different currencies, as on the real ledger. A
+            // malformed one touches no book: an ownerless or zero-priced
+            // offer would sit at the top of its book, and every payment
+            // planned through it would fail.
+            const auto positive = [](const Amount& amount) {
+                return !amount.value.is_zero() && !amount.value.is_negative();
+            };
+            if (!ledger_->account(tx.sender) || !positive(tx.taker_pays) ||
+                !positive(tx.taker_gets) ||
+                tx.taker_pays.currency == tx.taker_gets.currency) {
+                break;
+            }
             ledger_->place_offer(tx.sender, tx.taker_pays, tx.taker_gets);
             result.success = true;
             break;

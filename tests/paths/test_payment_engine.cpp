@@ -433,6 +433,82 @@ TEST_F(PaymentEngineTest, ApplyDispatchesTrustSetAndOffer) {
     EXPECT_EQ(state_.offer_count(), 1u);
 }
 
+ledger::Transaction offer_create(const AccountID& owner, Amount taker_pays,
+                                 Amount taker_gets) {
+    ledger::Transaction tx;
+    tx.type = ledger::TxType::kOfferCreate;
+    tx.sender = owner;
+    tx.taker_pays = taker_pays;
+    tx.taker_gets = taker_gets;
+    return tx;
+}
+
+TEST_F(PaymentEngineTest, ApplyOfferCreateRejectsMalformed) {
+    const AccountID a = add("a");
+    const AccountID ghost = AccountID::from_seed("never-created");
+    PaymentEngine engine(state_);
+
+    // No owner account.
+    EXPECT_FALSE(engine.apply(offer_create(ghost, Amount::iou(kUsd, 10.0),
+                                           Amount::iou(kEur, 8.0)))
+                     .success);
+    // Zero or negative amounts on either side.
+    EXPECT_FALSE(engine.apply(offer_create(a, Amount::iou(kUsd, 0.0),
+                                           Amount::iou(kEur, 8.0)))
+                     .success);
+    EXPECT_FALSE(engine.apply(offer_create(a, Amount::iou(kUsd, 10.0),
+                                           Amount::iou(kEur, -8.0)))
+                     .success);
+    EXPECT_FALSE(engine.apply(offer_create(a, Amount::iou(kUsd, -10.0),
+                                           Amount::iou(kEur, 8.0)))
+                     .success);
+    // One currency on both sides, IOU or XRP.
+    EXPECT_FALSE(engine.apply(offer_create(a, Amount::iou(kUsd, 10.0),
+                                           Amount::iou(kUsd, 8.0)))
+                     .success);
+    EXPECT_FALSE(engine.apply(offer_create(a, Amount::xrp(10.0), Amount::xrp(8.0)))
+                     .success);
+    EXPECT_EQ(state_.offer_count(), 0u);
+    EXPECT_TRUE(state_.book(ledger::BookKey{kUsd, kEur}).empty());
+    EXPECT_TRUE(state_.book(ledger::BookKey{kUsd, kUsd}).empty());
+
+    // A well-formed offer still places, with the id a fresh ledger
+    // would give it: the rejected ones consumed none.
+    EXPECT_TRUE(engine.apply(offer_create(a, Amount::iou(kUsd, 10.0),
+                                          Amount::iou(kEur, 8.0)))
+                    .success);
+    EXPECT_EQ(state_.offer_count(), 1u);
+    ASSERT_EQ(state_.book(ledger::BookKey{kUsd, kEur}).size(), 1u);
+    EXPECT_EQ(state_.book(ledger::BookKey{kUsd, kEur}).front().id, 1u);
+}
+
+// An unfunded 1-EUR offer from an account that does not exist, priced
+// to top the USD->EUR book, used to be placed and to fail every
+// payment planned through that book.
+TEST_F(PaymentEngineTest, OfferFromMissingAccountDoesNotBlockTheBook) {
+    const AccountID user = add("user");
+    const AccountID g_usd = add("g-usd");
+    const AccountID g_eur = add("g-eur");
+    const AccountID maker = add("maker");
+    const AccountID merchant = add("merchant");
+    fund(g_usd, user, kUsd, 500.0);
+    fund(g_usd, maker, kUsd, 1000.0);
+    fund(g_eur, maker, kEur, 1000.0);
+    edge(g_eur, merchant, kEur, 1e6);
+    state_.place_offer(maker, Amount::iou(kUsd, 130.0), Amount::iou(kEur, 100.0));
+
+    PaymentEngine engine(state_);
+    EXPECT_FALSE(engine.apply(offer_create(AccountID::from_seed("ghost-maker"),
+                                           Amount::iou(kUsd, 1.0),
+                                           Amount::iou(kEur, 1.0)))
+                     .success);
+    EXPECT_EQ(state_.book(ledger::BookKey{kUsd, kEur}).size(), 1u);
+
+    const auto result = engine.execute(request(user, merchant, kEur, 50.0, kUsd));
+    EXPECT_TRUE(result.success);
+    EXPECT_TRUE(result.used_order_book);
+}
+
 TEST_F(PaymentEngineTest, ApplyTrustSetRejectsUnknownOrSelfPeer) {
     // A trust line joins two distinct existing accounts: a TrustSet
     // naming a missing account or the sender itself fails and leaves

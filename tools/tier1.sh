@@ -18,11 +18,13 @@ cd build && ctest --output-on-failure -j
 # pinned Fig 3 / anonymity / attack / mitigation / clustering / spam
 # values) must hold at every pool width too, and FingerprintGroupsTest
 # checks the bucketed fingerprint sort against one whole-array sort.
-# CI's width step runs the same filter.
+# The suites are listed once, in tools/golden_suites.filter, which CI's
+# width step reads too.
+golden_filter=$(grep '^[^#]' ../tools/golden_suites.filter | paste -sd: -)
 for width in 1 8; do
   echo "--- determinism + golden suites at XRPL_THREADS=${width} ---"
   XRPL_THREADS="${width}" ./tests/xrpl_tests \
-    --gtest_filter='DeterminismTest.*:ShardedDeterminismTest.*:ShardedSlicingTest.*:ObsParityTest.*:ReplayParityTest.*:ColumnarParityTest.*:FingerprintGroupsTest.*' \
+    --gtest_filter="${golden_filter}" \
     --gtest_brief=1
 done
 # XCOL round-trip determinism: the snapshot a width-1 process saves
