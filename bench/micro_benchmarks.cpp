@@ -10,10 +10,12 @@
 #include "consensus/rpca.hpp"
 #include "core/deanonymizer.hpp"
 #include "core/ig_study.hpp"
+#include "datagen/history.hpp"
 #include "exec/thread_pool.hpp"
 #include "ledger/amount.hpp"
 #include "ledger/payment_columns.hpp"
 #include "node/node.hpp"
+#include "paths/graph_index.hpp"
 #include "paths/path_finder.hpp"
 #include "paths/payment_engine.hpp"
 #include "paths/widest_path.hpp"
@@ -229,6 +231,45 @@ void BM_PathFinder_Widest(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PathFinder_Widest);
+
+// The payments workload's population (20 K users at seed 20130101:
+// 21,619 accounts, 122,622 trust lines), built once.
+const datagen::PopulationSnapshot& payments_population() {
+    static const datagen::PopulationSnapshot snapshot = [] {
+        datagen::GeneratorConfig config;
+        config.seed = 20130101;
+        config.num_users = 20'000;
+        config.num_gateways = 40;
+        config.num_market_makers = 200;
+        config.num_merchants = 1'250;
+        config.num_hubs = 20;
+        return datagen::generate_population_only(config);
+    }();
+    return snapshot;
+}
+
+// One LedgerState::clone() of that population and its release: the
+// per-clone cost every replay and node phase pays.
+void BM_LedgerClone(benchmark::State& state) {
+    const ledger::LedgerState& original = payments_population().ledger;
+    for (auto _ : state) {
+        const ledger::LedgerState copy = original.clone();
+        benchmark::DoNotOptimize(copy.trustline_count());
+    }
+}
+BENCHMARK(BM_LedgerClone)->Unit(benchmark::kMillisecond);
+
+// One CSR index build over a clone of that population (the payments
+// workload builds on clones).
+void BM_GraphIndexBuild(benchmark::State& state) {
+    const ledger::LedgerState copy = payments_population().ledger.clone();
+    paths::GraphIndex index;
+    for (auto _ : state) {
+        index.build(copy);
+        benchmark::DoNotOptimize(index.edge_count());
+    }
+}
+BENCHMARK(BM_GraphIndexBuild)->Unit(benchmark::kMillisecond);
 
 // End-to-end node throughput: submit -> consensus -> sealed -> applied.
 void BM_NodeRound(benchmark::State& state) {

@@ -11,7 +11,8 @@
 //    left-to-right fold exactly.
 //
 // What dynamic scheduling may change — which worker computes which
-// chunk, and when — is invisible to both.
+// chunk, and when — is invisible to both. Both time every chunk into
+// the order-free exec.chunk_ns histogram (exec.busy_s in perfbench).
 #pragma once
 
 #include <cstddef>
@@ -30,6 +31,12 @@ namespace xrpl::exec {
     return grain == 0 ? 0 : (n + grain - 1) / grain;
 }
 
+namespace detail {
+/// ThreadPool::shared().run(chunks, task) with each task timed into
+/// exec.chunk_ns.
+void run_timed_chunks(std::size_t chunks, const std::function<void(std::size_t)>& task);
+}  // namespace detail
+
 /// body(begin, end) over [0, n) in contiguous chunks of at most
 /// `grain` items, in parallel on the shared pool. The body must write
 /// only state owned by its range.
@@ -44,8 +51,7 @@ template <typename Partial, typename Map, typename Reduce>
 [[nodiscard]] Partial map_reduce(std::size_t chunks, Map&& map, Reduce&& reduce,
                                  Partial init = Partial{}) {
     std::vector<Partial> partials(chunks);
-    ThreadPool::shared().run(
-        chunks, [&](std::size_t c) { partials[c] = map(c); });
+    detail::run_timed_chunks(chunks, [&](std::size_t c) { partials[c] = map(c); });
     std::size_t merged = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
         // Merge order IS the determinism contract: partial c folds in

@@ -1,19 +1,40 @@
 // Ledger state: accounts, trust lines, and order books.
 //
 // This is the mutable "current ledger" the payment engine executes
-// against. Trust lines are stored node-based so pointers handed to
-// the adjacency index stay valid across insertions. The topology is
-// addressed by dense index: accounts and currencies are numbered in
-// creation order, every trust line records the numbers of its two
-// endpoints and its currency, and the adjacency lists are a vector
-// keyed by account number. So clone() and paths::GraphIndex walk it
-// without hashing an AccountID or searching for a currency.
+// against. It is split in two (DESIGN.md §16):
+//   * per-ledger STATE, which clone() copies as flat arrays: the trust
+//     lines in a vector by dense line index, the account roots
+//     (balances, sequences) in a vector by dense account index, and
+//     the order books;
+//   * TOPOLOGY, which clones share through std::shared_ptr<const ...>:
+//     the AccountID / TrustLineKey / Currency -> index maps, each
+//     line's endpoint and currency indices, the accounts' rippling
+//     flags, and the adjacency lists of line indices.
+// A topology is frozen by the first clone that shares it; a ledger
+// holding a frozen topology copies it at its first topology change
+// (copy-on-write), so no ledger ever changes what another one sees.
+//
+// Order contract: lines_of() is in creation order on a ledger built
+// by inserts; on a clone it is in the iteration order of the
+// line-key map, an order the pinned goldens depend on (ROADMAP item
+// 1). That clone-order adjacency is derived at most once per topology
+// and shared by every clone of it.
+//
+// Pointer validity: a TrustLine* / AccountRoot* from trustline(),
+// set_trust() or account(), and a TrustLineList from lines_of(), stay
+// valid only until the next topology change (account or trust-line
+// creation) on that ledger, which may reallocate the stores. Balance,
+// limit and offer updates never invalidate them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ledger/amount.hpp"
@@ -22,7 +43,8 @@
 
 namespace xrpl::ledger {
 
-/// Per-account root entry.
+/// Per-account root entry, per-ledger state. The balance and sequence
+/// change; id, flags and index are fixed when the account is created.
 struct AccountRoot {
     AccountID id;
     XrpAmount balance;        // native XRP, in drops
@@ -37,6 +59,69 @@ struct AccountRoot {
     /// Dense index assigned at creation; lets graph algorithms use
     /// flat arrays instead of hash maps.
     std::uint32_t index = 0;
+};
+
+/// A list of trust lines held as line indices and read as pointers
+/// into one ledger's line store: what LedgerState::lines_of() returns.
+/// A view, valid until the next topology change on its ledger.
+class TrustLineList {
+public:
+    class Iterator {
+    public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = const TrustLine*;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = const TrustLine*;
+
+        Iterator() = default;
+        Iterator(const std::uint32_t* position, const TrustLine* store) noexcept
+            : position_(position), store_(store) {}
+
+        [[nodiscard]] const TrustLine* operator*() const noexcept {
+            return store_ + *position_;
+        }
+        Iterator& operator++() noexcept {
+            ++position_;
+            return *this;
+        }
+        Iterator operator++(int) noexcept {
+            const Iterator before = *this;
+            ++position_;
+            return before;
+        }
+        friend bool operator==(const Iterator& a, const Iterator& b) noexcept {
+            return a.position_ == b.position_;
+        }
+
+    private:
+        const std::uint32_t* position_ = nullptr;
+        const TrustLine* store_ = nullptr;
+    };
+
+    TrustLineList() = default;
+    TrustLineList(std::span<const std::uint32_t> indices, const TrustLine* store) noexcept
+        : indices_(indices), store_(store) {}
+
+    [[nodiscard]] std::size_t size() const noexcept { return indices_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return indices_.empty(); }
+    [[nodiscard]] const TrustLine* operator[](std::size_t i) const noexcept {
+        return store_ + indices_[i];
+    }
+    [[nodiscard]] Iterator begin() const noexcept {
+        return Iterator(indices_.data(), store_);
+    }
+    [[nodiscard]] Iterator end() const noexcept {
+        return Iterator(indices_.data() + indices_.size(), store_);
+    }
+    /// The line indices themselves, in list order.
+    [[nodiscard]] std::span<const std::uint32_t> indices() const noexcept {
+        return indices_;
+    }
+
+private:
+    std::span<const std::uint32_t> indices_;
+    const TrustLine* store_ = nullptr;
 };
 
 /// A currency-exchange offer: the owner sells `taker_gets` in
@@ -64,39 +149,28 @@ struct BookKey {
     friend auto operator<=>(const BookKey&, const BookKey&) = default;
 };
 
-}  // namespace xrpl::ledger
-
-template <>
-struct std::hash<xrpl::ledger::BookKey> {
-    std::size_t operator()(const xrpl::ledger::BookKey& k) const noexcept {
-        std::size_t seed = std::hash<xrpl::ledger::Currency>{}(k.pays);
-        seed ^= std::hash<xrpl::ledger::Currency>{}(k.gets) + 0x9e3779b97f4a7c15ULL +
-                (seed << 6) + (seed >> 2);
-        return seed;
-    }
-};
-
-namespace xrpl::ledger {
-
 /// The current (open) ledger state.
 class LedgerState {
 public:
-    LedgerState() = default;
+    /// One order book: a (pays, gets) pair and its offers, best first.
+    using Book = std::pair<BookKey, std::vector<Offer>>;
 
-    // Not copyable (the adjacency index holds interior pointers);
-    // movable is fine because unordered_map nodes do not relocate.
-    // Use clone() for an explicit deep copy.
+    LedgerState();
+
+    // Not copyable: a plain copy would not say which lines_of() order
+    // the copy presents. Use clone(). A moved-from ledger may only be
+    // assigned to or destroyed.
     LedgerState(const LedgerState&) = delete;
     LedgerState& operator=(const LedgerState&) = delete;
-    LedgerState(LedgerState&&) = default;
-    LedgerState& operator=(LedgerState&&) = default;
+    LedgerState(LedgerState&&) noexcept = default;
+    LedgerState& operator=(LedgerState&&) noexcept = default;
 
-    /// Deep copy with a freshly rebuilt adjacency index, filled from
-    /// the lines' recorded endpoint indices in the copied line map's
-    /// iteration order (so a clone's lines_of() order is the map's,
-    /// as it has always been, not the original's creation order).
-    /// Replay experiments run against a clone so the original
-    /// snapshot stays pristine.
+    /// Copy of the state (lines, accounts, books: flat arrays, no key
+    /// hashed) sharing this ledger's topology, which freezes it. The
+    /// clone's lines_of() is in the line-key map's iteration order
+    /// (see the header comment), derived once per topology. Safe to
+    /// call concurrently on one const ledger. Replay experiments run
+    /// against a clone so the original snapshot stays pristine.
     [[nodiscard]] LedgerState clone() const;
 
     // --- accounts ---------------------------------------------------
@@ -107,6 +181,8 @@ public:
     bool create_account(const AccountID& id, XrpAmount initial_balance,
                         bool is_gateway = false, bool allows_rippling = false);
 
+    /// The account's root entry, or nullptr. Valid until the next
+    /// topology change on this ledger.
     [[nodiscard]] const AccountRoot* account(const AccountID& id) const noexcept;
     [[nodiscard]] AccountRoot* account(const AccountID& id) noexcept;
     [[nodiscard]] std::size_t account_count() const noexcept { return accounts_.size(); }
@@ -114,7 +190,7 @@ public:
     /// The account created with dense index `index` (0-based, in
     /// creation order). Precondition: index < account_count().
     [[nodiscard]] const AccountID& account_by_index(std::uint32_t index) const {
-        return index_to_account_.at(index);
+        return accounts_.at(index).id;
     }
 
     /// Direct XRP transfer plus fee burn; fails on missing accounts or
@@ -136,39 +212,44 @@ public:
     /// `from` declares trust of `limit` towards `to` in `currency`.
     /// Creates the line if absent; updates the limit otherwise.
     /// Precondition: `from` and `to` exist and differ (a new line
-    /// records both accounts' dense indices).
+    /// records both accounts' dense indices). The reference is valid
+    /// until the next topology change.
     TrustLine& set_trust(const AccountID& from, const AccountID& to,
                          Currency currency, IouAmount limit);
 
+    /// The line, or nullptr. Valid until the next topology change.
     [[nodiscard]] const TrustLine* trustline(const AccountID& a, const AccountID& b,
                                              Currency currency) const noexcept;
     [[nodiscard]] TrustLine* trustline(const AccountID& a, const AccountID& b,
                                        Currency currency) noexcept;
 
     /// All trust lines touching `account` (any currency), in creation
-    /// order (in a clone: the order clone() documents).
-    [[nodiscard]] const std::vector<TrustLine*>& lines_of(
-        const AccountID& account) const noexcept;
+    /// order (in a clone: the order clone() documents). Empty for an
+    /// unknown account.
+    [[nodiscard]] TrustLineList lines_of(const AccountID& account) const noexcept;
 
     /// lines_of() the account with dense index `index`, without the
     /// ID lookup. Precondition: index < account_count().
-    [[nodiscard]] const std::vector<TrustLine*>& lines_by_index(
-        std::uint32_t index) const noexcept {
-        return adjacency_[index];
-    }
+    [[nodiscard]] TrustLineList lines_by_index(std::uint32_t index) const noexcept;
+
+    /// Every trust line by dense line index (creation order).
+    [[nodiscard]] std::span<const TrustLine> lines() const noexcept { return lines_; }
+
+    /// Each line's endpoint and currency indices, by line index.
+    [[nodiscard]] std::span<const TrustLineIndices> line_ends() const noexcept;
+
+    /// Each account's DefaultRipple flag (AccountRoot::allows_rippling,
+    /// 1 or 0), by account index.
+    [[nodiscard]] std::span<const std::uint8_t> ripple_flags() const noexcept;
 
     [[nodiscard]] std::size_t trustline_count() const noexcept { return lines_.size(); }
 
     /// Currencies are numbered densely (0-based) in the order their
-    /// first trust line was created; TrustLine::currency_index() is
+    /// first trust line was created; TrustLineIndices::currency is
     /// this number.
-    [[nodiscard]] std::size_t currency_count() const noexcept {
-        return index_to_currency_.size();
-    }
+    [[nodiscard]] std::size_t currency_count() const noexcept;
     /// The currency numbered `index`. Precondition: index < currency_count().
-    [[nodiscard]] Currency currency_by_index(std::uint32_t index) const {
-        return index_to_currency_.at(index);
-    }
+    [[nodiscard]] Currency currency_by_index(std::uint32_t index) const;
     /// The number of `currency`, or nullopt if no trust line uses it.
     [[nodiscard]] std::optional<std::uint32_t> currency_index(
         Currency currency) const noexcept;
@@ -176,8 +257,8 @@ public:
     /// Monotonic counter bumped on every TOPOLOGY change — account
     /// creation or trust-line creation. Balance and limit updates on
     /// existing lines do NOT bump it: derived adjacency structures
-    /// (paths::GraphIndex) read capacities live through TrustLine
-    /// pointers, so only new nodes/edges invalidate them.
+    /// (paths::GraphIndex) read capacities live by line index, so only
+    /// new nodes/edges invalidate them.
     [[nodiscard]] std::uint64_t topology_generation() const noexcept {
         return topology_generation_;
     }
@@ -207,12 +288,12 @@ public:
 
     /// The (sorted, best first) book for a currency pair; empty if none.
     [[nodiscard]] const std::vector<Offer>& book(const BookKey& key) const noexcept;
-    [[nodiscard]] std::vector<Offer>& book_mutable(const BookKey& key) noexcept;
+    /// The book for a currency pair, created empty if absent. Valid
+    /// until the next book creation.
+    [[nodiscard]] std::vector<Offer>& book_mutable(const BookKey& key);
 
-    [[nodiscard]] const std::unordered_map<BookKey, std::vector<Offer>>& books()
-        const noexcept {
-        return books_;
-    }
+    /// Every book, sorted by key.
+    [[nodiscard]] std::span<const Book> books() const noexcept { return books_; }
 
     [[nodiscard]] std::size_t offer_count() const noexcept;
 
@@ -222,20 +303,40 @@ public:
     /// Remove all offers in the system.
     void clear_all_offers() noexcept { books_.clear(); }
 
-    /// Iterate all accounts (order unspecified).
-    [[nodiscard]] const std::unordered_map<AccountID, AccountRoot>& accounts()
-        const noexcept {
+    /// Every account root, by dense index (creation order).
+    [[nodiscard]] std::span<const AccountRoot> accounts() const noexcept {
         return accounts_;
     }
 
 private:
-    std::unordered_map<AccountID, AccountRoot> accounts_;
-    std::vector<AccountID> index_to_account_;
-    std::unordered_map<TrustLineKey, TrustLine> lines_;
-    std::vector<std::vector<TrustLine*>> adjacency_;  // by account index
-    std::vector<Currency> index_to_currency_;
-    std::unordered_map<Currency, std::uint32_t> currency_to_index_;
-    std::unordered_map<BookKey, std::vector<Offer>> books_;
+    struct Topology;  // ledger.cpp
+    /// Line indices touching each account, by account index.
+    using Adjacency = std::vector<std::vector<std::uint32_t>>;
+
+    LedgerState(std::shared_ptr<const Topology> topology,
+                std::shared_ptr<const Adjacency> adjacency) noexcept;
+
+    /// The topology and adjacency this ledger may change: a frozen
+    /// (shared) pair is copied first.
+    struct Owned {
+        Topology& topology;
+        Adjacency& adjacency;
+    };
+    Owned own_topology();
+
+    /// The adjacency a clone presents, derived on first use.
+    [[nodiscard]] std::shared_ptr<const Adjacency> clone_adjacency() const;
+
+    [[nodiscard]] std::optional<std::uint32_t> index_of(
+        const AccountID& id) const noexcept;
+
+    // Topology, shared with clones.
+    std::shared_ptr<const Topology> topology_;
+    std::shared_ptr<const Adjacency> adjacency_;
+    // State, copied by clone().
+    std::vector<AccountRoot> accounts_;
+    std::vector<TrustLine> lines_;
+    std::vector<Book> books_;  // sorted by key
     XrpAmount burned_;
     std::uint64_t next_offer_id_ = 1;
     std::uint64_t topology_generation_ = 0;

@@ -31,7 +31,9 @@ struct TrustLineKey {
 
 /// The ledger's dense indices of a line's two endpoints and its
 /// currency (AccountRoot::index, LedgerState::currency_index). Fixed
-/// when the ledger creates the line, like the key they mirror.
+/// when the ledger creates the line, like the key they mirror; the
+/// ledger's topology keeps them (LedgerState::line_ends), so topology
+/// walks address arrays instead of hashing IDs.
 struct TrustLineIndices {
     std::uint32_t low = 0;
     std::uint32_t high = 0;
@@ -41,22 +43,10 @@ struct TrustLineIndices {
 /// A credit line between two accounts in one currency.
 class TrustLine {
 public:
-    TrustLine(TrustLineKey key, IouAmount limit_low, IouAmount limit_high,
-              TrustLineIndices indices = {}) noexcept
-        : key_(key),
-          indices_(indices),
-          limit_low_(limit_low),
-          limit_high_(limit_high) {}
+    TrustLine(TrustLineKey key, IouAmount limit_low, IouAmount limit_high) noexcept
+        : key_(key), limit_low_(limit_low), limit_high_(limit_high) {}
 
     [[nodiscard]] const TrustLineKey& key() const noexcept { return key_; }
-
-    /// Dense index of key().low, of key().high and of key().currency,
-    /// so topology walks address arrays instead of hashing IDs.
-    [[nodiscard]] std::uint32_t low_index() const noexcept { return indices_.low; }
-    [[nodiscard]] std::uint32_t high_index() const noexcept { return indices_.high; }
-    [[nodiscard]] std::uint32_t currency_index() const noexcept {
-        return indices_.currency;
-    }
 
     /// Balance from the low account's perspective: positive means the
     /// high account owes the low account.
@@ -105,9 +95,6 @@ public:
 
 private:
     TrustLineKey key_;
-    // Packed against the 43-byte key, so they start in its alignment
-    // padding: the line grows from 96 to 104 bytes (112 if appended).
-    TrustLineIndices indices_;
     IouAmount balance_;     // high owes low when positive
     IouAmount limit_low_;   // low's trust towards high
     IouAmount limit_high_;  // high's trust towards low

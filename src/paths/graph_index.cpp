@@ -33,20 +33,16 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
         partitions_[c].offsets.assign(account_count + 1, 0);
     }
 
-    // Each account's DefaultRipple flag, read once by walking the
-    // account map rather than once per edge through a lookup.
-    std::vector<bool> ripples(account_count);
-    for (const auto& [id, root] : ledger.accounts()) {
-        ripples[root.index] = root.allows_rippling;
-    }
+    const std::span<const ledger::TrustLineIndices> ends = ledger.line_ends();
+    const std::span<const std::uint8_t> ripples = ledger.ripple_flags();
 
     // Walk 1 — count each node's degree per partition into
     // offsets[i + 1]. Iterating accounts in dense index order (not the
     // unordered line map) keeps the build deterministic and gives each
     // line exactly two visits, one per endpoint.
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line : ledger.lines_by_index(i)) {
-            ++partitions_[line->currency_index()].offsets[i + 1];
+        for (const std::uint32_t line : ledger.lines_by_index(i).indices()) {
+            ++partitions_[ends[line].currency].offsets[i + 1];
         }
     }
     for (Partition& part : partitions_) {
@@ -62,15 +58,15 @@ void GraphIndex::build(const ledger::LedgerState& ledger) {
     // leaves offsets[i] at row i's end, which is row i + 1's start;
     // shifting the pointers one slot right restores them.
     for (std::uint32_t i = 0; i < account_count; ++i) {
-        for (const ledger::TrustLine* line : ledger.lines_by_index(i)) {
-            Partition& part = partitions_[line->currency_index()];
-            const bool node_is_low = line->low_index() == i;
-            XRPL_INVARIANT(node_is_low || line->high_index() == i,
+        for (const std::uint32_t line : ledger.lines_by_index(i).indices()) {
+            const ledger::TrustLineIndices& end = ends[line];
+            Partition& part = partitions_[end.currency];
+            const bool node_is_low = end.low == i;
+            XRPL_INVARIANT(node_is_low || end.high == i,
                            "a line listed under an account records it as an endpoint");
-            const std::uint32_t peer =
-                node_is_low ? line->high_index() : line->low_index();
+            const std::uint32_t peer = node_is_low ? end.high : end.low;
             part.edges[part.offsets[i]++] =
-                Edge{peer, line, node_is_low, ripples[peer]};
+                Edge{peer, line, node_is_low, ripples[peer] != 0};
         }
     }
     for (Partition& part : partitions_) {

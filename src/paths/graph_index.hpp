@@ -6,17 +6,24 @@
 // lines_of(account) — ALL currencies mixed — filtering by currency,
 // hashing AccountIDs, and re-looking-up AccountRoot per visit. This
 // index is built once per topology: for each currency, a
-// compressed-sparse-row table of (peer index, TrustLine*, direction
+// compressed-sparse-row table of (peer index, line index, direction
 // bit, cached rippling flag) keyed by the ledger's dense account
 // index, so the bidirectional-BFS inner loop becomes a flat span walk
 // over uint32 indices with zero hashing and zero account() lookups.
 //
-// Invalidation contract: CAPACITY is read live through the stored
-// TrustLine* at visit time, so balance/limit mutations by the payment
-// engine never invalidate the index. TOPOLOGY mutations (new account,
-// new trust line) bump LedgerState::topology_generation(); ensure()
-// compares generations and lazily rebuilds. Rippling flags are fixed
-// at account creation, so caching them per edge is safe.
+// The index is pure topology: the build reads only the ledger's
+// adjacency lists of line indices, its flat line-endpoint array and
+// its rippling flags, and an edge names its line by index. So two
+// ledgers with the same topology and lines_of() order get the same
+// index (sharing one across clones is DESIGN.md §16's next step).
+//
+// Invalidation contract: CAPACITY is read live at visit time from the
+// searched ledger's line store (LedgerState::lines()[edge.line]), so
+// balance/limit mutations by the payment engine never invalidate the
+// index. TOPOLOGY mutations (new account, new trust line) bump
+// LedgerState::topology_generation(); ensure() compares generations
+// and lazily rebuilds. Rippling flags are fixed at account creation,
+// so caching them per edge is safe.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +37,10 @@ namespace xrpl::paths {
 class GraphIndex {
 public:
     struct Edge {
-        std::uint32_t peer;             // dense account index of the far end
-        const ledger::TrustLine* line;  // capacity read live at visit time
-        bool node_is_low;               // the owning node is line->key().low
-        bool peer_ripples;              // cached peer allows_rippling
+        std::uint32_t peer;  // dense account index of the far end
+        std::uint32_t line;  // line index; capacity read live at visit time
+        bool node_is_low;    // the owning node is the line's key().low
+        bool peer_ripples;   // cached peer allows_rippling
     };
 
     /// One currency's CSR table. An out-edge and its mirror in-edge
@@ -57,11 +64,12 @@ public:
     };
 
     /// Rebuild from scratch (unconditionally): two walks over every
-    /// account's lines (LedgerState::lines_by_index) in dense-index
-    /// order, one to count degrees, one to fill all partitions. An
-    /// edge's partition, peer and direction are array lookups on the
-    /// line's recorded indices (TrustLine::currency_index, low_index,
-    /// high_index): the build hashes no AccountID.
+    /// account's line indices (LedgerState::lines_by_index) in
+    /// dense-index order, one to count degrees, one to fill all
+    /// partitions. An edge's partition, peer and direction are array
+    /// lookups in the line's endpoint and currency indices
+    /// (LedgerState::line_ends): the build hashes no AccountID and
+    /// reads no TrustLine.
     void build(const ledger::LedgerState& ledger);
 
     /// Lazy freshness: rebuild only if the ledger's topology

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "paths/graph_index.hpp"
+#include "util/contract.hpp"
 
 namespace xrpl::paths {
 
@@ -14,21 +15,15 @@ using ledger::AccountID;
 using ledger::IouAmount;
 using ledger::LedgerState;
 
-/// Bottleneck capacity of a node path.
+/// Bottleneck capacity of a node path whose hop i runs over line
+/// index lines[i] (the search's own edges: no key is hashed).
 IouAmount path_capacity(const LedgerState& ledger,
                         const std::vector<AccountID>& nodes,
-                        ledger::Currency currency) {
+                        const std::vector<std::uint32_t>& lines) {
     IouAmount best;
-    bool first = true;
-    for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-        const ledger::TrustLine* line =
-            ledger.trustline(nodes[i], nodes[i + 1], currency);
-        if (line == nullptr) return {};
-        const IouAmount cap = line->capacity_from(nodes[i]);
-        if (first || cap < best) {
-            best = cap;
-            first = false;
-        }
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const IouAmount cap = ledger.lines()[lines[i]].capacity_from(nodes[i]);
+        if (i == 0 || cap < best) best = cap;
     }
     return best;
 }
@@ -39,15 +34,20 @@ struct ScanExpander {
     const TrustGraph& graph;
     ledger::Currency currency;
 
+    /// The index of a line lines_of() listed (a pointer into the store).
+    [[nodiscard]] std::uint32_t index_of(const ledger::TrustLine* line) const noexcept {
+        return static_cast<std::uint32_t>(line - graph.ledger().lines().data());
+    }
+
     template <typename Visit>
     void out(std::uint32_t node_index, Visit&& visit) const {
         const LedgerState& ledger = graph.ledger();
         graph.for_each_neighbor(
             ledger.account_by_index(node_index), currency,
-            [&](const AccountID& peer, const ledger::TrustLine*) {
+            [&](const AccountID& peer, const ledger::TrustLine* line) {
                 const ledger::AccountRoot* root = ledger.account(peer);
                 if (root == nullptr) return;
-                visit(root->index, root->allows_rippling);
+                visit(root->index, root->allows_rippling, index_of(line));
             });
     }
 
@@ -56,20 +56,20 @@ struct ScanExpander {
         const LedgerState& ledger = graph.ledger();
         graph.for_each_in_neighbor(
             ledger.account_by_index(node_index), currency,
-            [&](const AccountID& peer, const ledger::TrustLine*) {
+            [&](const AccountID& peer, const ledger::TrustLine* line) {
                 const ledger::AccountRoot* root = ledger.account(peer);
                 if (root == nullptr) return;
-                visit(root->index, root->allows_rippling);
+                visit(root->index, root->allows_rippling, index_of(line));
             });
     }
 };
 
 /// Indexed engine: walk the currency partition's CSR spans. No
-/// hashing, no account() lookups — peer index, direction bit, and
-/// rippling flag are all in the 16-byte Edge record; only capacity is
-/// read live through the TrustLine pointer. A null partition (no line
-/// in this currency) behaves as an empty graph so both engines walk
-/// the same trivial frontier.
+/// hashing, no account() lookups — peer index, line index, direction
+/// bit, and rippling flag are all in the 12-byte Edge record; only
+/// capacity is read live from the ledger's line store. A null
+/// partition (no line in this currency) behaves as an empty graph so
+/// both engines walk the same trivial frontier.
 ///
 /// DefaultRipple comes first: an edge to a peer that blocks rippling
 /// and is neither endpoint is skipped before the exclusion probe and
@@ -79,6 +79,7 @@ struct ScanExpander {
 struct IndexedExpander {
     const TrustGraph& graph;
     const GraphIndex::Partition* part;
+    const ledger::TrustLine* lines;  // the searched ledger's line store
     std::uint32_t src_index;
     std::uint32_t dst_index;
     std::uint64_t& capacity_reads;  // this search's paths.capacity_reads
@@ -107,9 +108,9 @@ struct IndexedExpander {
             if (graph.is_excluded_index(edge.peer)) continue;
             ++reads;
             const IouAmount cap =
-                edge.line->directed_capacity(edge.node_is_low == outward);
+                lines[edge.line].directed_capacity(edge.node_is_low == outward);
             if (cap.is_zero() || cap.is_negative()) continue;
-            visit(edge.peer, edge.peer_ripples);
+            visit(edge.peer, edge.peer_ripples, edge.line);
         }
         capacity_reads += reads;
     }
@@ -120,8 +121,7 @@ struct IndexedExpander {
 template <typename Expander>
 std::optional<TrustPath> PathFinder::run_search(
     const TrustGraph& graph, const Expander& expand, const AccountID& from,
-    const AccountID& to, std::uint32_t src_index, std::uint32_t dst_index,
-    ledger::Currency currency) {
+    const AccountID& to, std::uint32_t src_index, std::uint32_t dst_index) {
     const LedgerState& ledger = graph.ledger();
 
     if (nodes_.size() < ledger.account_count()) {
@@ -131,12 +131,13 @@ std::optional<TrustPath> PathFinder::run_search(
 
     auto state = [&](std::uint32_t index) -> NodeState& { return nodes_[index]; };
     auto mark = [&](std::uint32_t index, std::uint8_t direction,
-                    std::uint32_t parent, std::uint8_t depth) {
+                    std::uint32_t parent, std::uint8_t depth, std::uint32_t line) {
         NodeState& ns = state(index);
         ns.epoch = epoch_;
         ns.direction = direction;
         ns.parent = parent;
         ns.depth = depth;
+        ns.line = line;
     };
     auto seen = [&](std::uint32_t index) {
         return state(index).epoch == epoch_;
@@ -144,8 +145,8 @@ std::optional<TrustPath> PathFinder::run_search(
 
     std::deque<std::uint32_t> forward{src_index};
     std::deque<std::uint32_t> backward{dst_index};
-    mark(src_index, 1, src_index, 0);
-    mark(dst_index, 2, dst_index, 0);
+    mark(src_index, 1, src_index, 0, 0);
+    mark(dst_index, 2, dst_index, 0, 0);
 
     // Total path length cap: intermediate hops + the two endpoints.
     const std::size_t max_edges = config_.max_intermediate_hops + 1;
@@ -173,7 +174,8 @@ std::optional<TrustPath> PathFinder::run_search(
         std::deque<std::uint32_t> next_frontier;
         for (const std::uint32_t node_index : frontier) {
             if (meeting) break;
-            auto visit = [&](std::uint32_t peer_index, bool peer_ripples) {
+            auto visit = [&](std::uint32_t peer_index, bool peer_ripples,
+                             std::uint32_t line) {
                 if (meeting) return;
                 // DefaultRipple: only rippling-enabled accounts may sit
                 // in the interior of a path; the two endpoints always may.
@@ -185,12 +187,12 @@ std::optional<TrustPath> PathFinder::run_search(
                     if (state(peer_index).direction != direction) {
                         // Frontiers met: peer was reached from the other
                         // side. Record the bridging edge.
-                        mark_meeting_ = {node_index, peer_index, direction};
+                        mark_meeting_ = {node_index, peer_index, direction, line};
                         meeting = peer_index;
                     }
                     return;
                 }
-                mark(peer_index, direction, node_index, next_depth);
+                mark(peer_index, direction, node_index, next_depth, line);
                 next_frontier.push_back(peer_index);
                 ++visited;
             };
@@ -216,21 +218,26 @@ std::optional<TrustPath> PathFinder::run_search(
     if (!meeting) return std::nullopt;
 
     // Reconstruct: walk from the touch point back to both endpoints.
-    const auto [near_index, far_index, bridge_direction] = mark_meeting_;
+    const auto [near_index, far_index, bridge_direction, bridge_line] = mark_meeting_;
     // `far_index` holds the node already labeled by the *other* side.
     // Forward half: chain of parents with direction 1; backward half:
     // chain with direction 2 (parents point toward the destination).
+    // Each node's `line` joins it to its parent, so the hops' lines
+    // come out alongside the nodes.
     std::vector<AccountID> forward_part;   // sender ... bridgeA
     std::vector<AccountID> backward_part;  // bridgeB ... receiver
+    std::vector<std::uint32_t> forward_lines;
+    std::vector<std::uint32_t> backward_lines;
 
     auto collect = [&](std::uint32_t start, std::uint8_t direction,
-                       std::vector<AccountID>& out) {
+                       std::vector<AccountID>& out, std::vector<std::uint32_t>& lines) {
         std::uint32_t cursor = start;
         while (true) {
             out.push_back(ledger.account_by_index(cursor));
             const NodeState& ns = state(cursor);
             if (ns.parent == cursor || ns.direction != direction) break;
             if (ns.depth == 0) break;
+            lines.push_back(ns.line);
             cursor = ns.parent;
         }
     };
@@ -238,13 +245,17 @@ std::optional<TrustPath> PathFinder::run_search(
     const std::uint32_t forward_end = bridge_direction == 1 ? near_index : far_index;
     const std::uint32_t backward_start = bridge_direction == 1 ? far_index : near_index;
 
-    collect(forward_end, 1, forward_part);
+    collect(forward_end, 1, forward_part, forward_lines);
     std::reverse(forward_part.begin(), forward_part.end());
-    collect(backward_start, 2, backward_part);
+    std::reverse(forward_lines.begin(), forward_lines.end());
+    collect(backward_start, 2, backward_part, backward_lines);
 
     TrustPath path;
     path.nodes = std::move(forward_part);
     path.nodes.insert(path.nodes.end(), backward_part.begin(), backward_part.end());
+    std::vector<std::uint32_t> lines = std::move(forward_lines);
+    lines.push_back(bridge_line);
+    lines.insert(lines.end(), backward_lines.begin(), backward_lines.end());
 
     if (path.nodes.size() < 2 || path.nodes.front() != from ||
         path.nodes.back() != to) {
@@ -252,7 +263,9 @@ std::optional<TrustPath> PathFinder::run_search(
     }
     if (path.nodes.size() - 2 > config_.max_intermediate_hops) return std::nullopt;
 
-    path.capacity = path_capacity(ledger, path.nodes, currency);
+    XRPL_ASSERT(lines.size() + 1 == path.nodes.size(),
+                "a found path has one line per hop");
+    path.capacity = path_capacity(ledger, path.nodes, lines);
     if (path.capacity.is_zero() || path.capacity.is_negative()) return std::nullopt;
     return path;
 }
@@ -272,16 +285,16 @@ std::optional<TrustPath> PathFinder::find(const TrustGraph& graph,
     if (graph.uses_index()) {
         std::uint64_t capacity_reads = 0;
         const IndexedExpander expand{graph, graph.index().partition(currency),
-                                     src->index, dst->index, capacity_reads};
-        auto path = run_search(graph, expand, from, to, src->index,
-                               dst->index, currency);
+                                     ledger.lines().data(), src->index, dst->index,
+                                     capacity_reads};
+        auto path = run_search(graph, expand, from, to, src->index, dst->index);
         // One add per search, like paths.nodes_expanded.
         static obs::Counter& reads = obs::counter("paths.capacity_reads");
         reads.add(capacity_reads);
         return path;
     }
     const ScanExpander expand{graph, currency};
-    return run_search(graph, expand, from, to, src->index, dst->index, currency);
+    return run_search(graph, expand, from, to, src->index, dst->index);
 }
 
 }  // namespace xrpl::paths

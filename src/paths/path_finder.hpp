@@ -60,19 +60,19 @@ public:
 
 private:
     /// The engine-agnostic bidirectional BFS. `expand.out(i, visit)` /
-    /// `expand.in(i, visit)` call visit(peer_index, peer_ripples) for
-    /// every positive-capacity, non-excluded neighbor of dense account
-    /// index i; an expander may leave out a non-rippling neighbor that
-    /// is neither endpoint, which visit rejects anyway. Defined in
-    /// path_finder.cpp; instantiated there for the two expanders.
+    /// `expand.in(i, visit)` call visit(peer_index, peer_ripples,
+    /// line_index) for every positive-capacity, non-excluded neighbor
+    /// of dense account index i; an expander may leave out a
+    /// non-rippling neighbor that is neither endpoint, which visit
+    /// rejects anyway. Defined in path_finder.cpp; instantiated there
+    /// for the two expanders.
     template <typename Expander>
     std::optional<TrustPath> run_search(const TrustGraph& graph,
                                         const Expander& expand,
                                         const ledger::AccountID& from,
                                         const ledger::AccountID& to,
                                         std::uint32_t src_index,
-                                        std::uint32_t dst_index,
-                                        ledger::Currency currency);
+                                        std::uint32_t dst_index);
 
     PathFinderConfig config_;
 
@@ -83,6 +83,7 @@ private:
         std::uint8_t direction = 0;  // 1 = forward, 2 = backward
         std::uint32_t parent = 0;    // dense index of predecessor/successor
         std::uint8_t depth = 0;
+        std::uint32_t line = 0;      // line index of the edge to `parent`
     };
     std::vector<NodeState> nodes_;
     std::uint64_t epoch_ = 0;
@@ -92,6 +93,7 @@ private:
         std::uint32_t near_index = 0;  // node on the expanding side
         std::uint32_t far_index = 0;   // node already labeled by the other side
         std::uint8_t direction = 0;    // direction of the expanding side
+        std::uint32_t line = 0;        // line index of the bridging edge
     };
     Meeting mark_meeting_;
 };

@@ -46,13 +46,15 @@ struct ScanExpander {
     }
 };
 
-/// Indexed engine: flat CSR span walk; capacity read live through the
-/// stored TrustLine pointer, direction resolved by the edge's bit. An
-/// edge to a non-rippling peer other than the destination is skipped
-/// before the capacity read: run_search would drop it (DefaultRipple).
+/// Indexed engine: flat CSR span walk; capacity read live from the
+/// ledger's line store at the edge's line index, direction resolved by
+/// the edge's bit. An edge to a non-rippling peer other than the
+/// destination is skipped before the capacity read: run_search would
+/// drop it (DefaultRipple).
 struct IndexedExpander {
     const TrustGraph& graph;
     const GraphIndex::Partition* part;
+    const ledger::TrustLine* lines;  // the searched ledger's line store
     std::uint32_t dst_index;
 
     template <typename Visit>
@@ -61,7 +63,7 @@ struct IndexedExpander {
         for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
             if (!edge.peer_ripples && edge.peer != dst_index) continue;
             if (graph.is_excluded_index(edge.peer)) continue;
-            const IouAmount cap = edge.line->directed_capacity(edge.node_is_low);
+            const IouAmount cap = lines[edge.line].directed_capacity(edge.node_is_low);
             if (cap.is_zero() || cap.is_negative()) continue;
             visit(edge.peer, edge.peer_ripples, cap);
         }
@@ -168,7 +170,7 @@ std::optional<TrustPath> WidestPathFinder::find(const TrustGraph& graph,
 
     if (graph.uses_index()) {
         const IndexedExpander expand{graph, graph.index().partition(currency),
-                                     dst->index};
+                                     ledger.lines().data(), dst->index};
         return run_search(graph, expand, from, to, src->index, dst->index);
     }
     const ScanExpander expand{graph, currency};

@@ -10,6 +10,7 @@
 
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace xrpl::exec {
 namespace {
@@ -67,6 +68,27 @@ TEST(ParallelTest, MapReduceMergesInChunkOrder) {
     std::vector<std::size_t> expected(kChunks);
     std::iota(expected.begin(), expected.end(), 0u);
     EXPECT_EQ(order, expected);
+}
+
+TEST(ParallelTest, MapReduceTimesEveryChunk) {
+    // exec.busy_s sums exec.chunk_ns, so a map_reduce must record one
+    // sample per chunk, as parallel_for does.
+    ScopedParallelism pool(4);
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::Histogram& chunk_ns = obs::histogram("exec.chunk_ns");
+    chunk_ns.reset();
+    constexpr std::size_t kChunks = 37;
+    const std::size_t total = map_reduce<std::size_t>(
+        kChunks, [](std::size_t c) { return c; },
+        [](std::size_t& acc, std::size_t&& part) { acc += part; });
+    const std::uint64_t reduce_samples = chunk_ns.count();
+    parallel_for(100, 10, [](std::size_t, std::size_t) {});
+    const std::uint64_t for_samples = chunk_ns.count() - reduce_samples;
+    obs::set_enabled(was_enabled);
+    EXPECT_EQ(total, kChunks * (kChunks - 1) / 2);
+    EXPECT_EQ(reduce_samples, kChunks);
+    EXPECT_EQ(for_samples, 10u);
 }
 
 TEST(ParallelTest, MapReduceZeroChunksReturnsInit) {

@@ -182,15 +182,16 @@ TEST_F(LedgerStateTest, CloneIsDeepAndIndependent) {
     for (const LedgerState* ledger : {&state_, &copy}) {
         std::size_t listed = 0;
         for (std::uint32_t i = 0; i < ledger->account_count(); ++i) {
-            for (const TrustLine* line : ledger->lines_by_index(i)) {
-                const TrustLineKey& key = line->key();
-                EXPECT_EQ(line->low_index(), ledger->account(key.low)->index);
-                EXPECT_EQ(line->high_index(), ledger->account(key.high)->index);
-                EXPECT_TRUE(line->low_index() == i || line->high_index() == i);
-                EXPECT_EQ(ledger->currency_by_index(line->currency_index()),
-                          key.currency);
-                EXPECT_EQ(ledger->currency_index(key.currency),
-                          line->currency_index());
+            const TrustLineList lines = ledger->lines_by_index(i);
+            for (std::size_t k = 0; k < lines.size(); ++k) {
+                const TrustLineKey& key = lines[k]->key();
+                EXPECT_EQ(lines[k], &ledger->lines()[lines.indices()[k]]);
+                const TrustLineIndices& ends = ledger->line_ends()[lines.indices()[k]];
+                EXPECT_EQ(ends.low, ledger->account(key.low)->index);
+                EXPECT_EQ(ends.high, ledger->account(key.high)->index);
+                EXPECT_TRUE(ends.low == i || ends.high == i);
+                EXPECT_EQ(ledger->currency_by_index(ends.currency), key.currency);
+                EXPECT_EQ(ledger->currency_index(key.currency), ends.currency);
                 ++listed;
             }
         }

@@ -5,9 +5,10 @@
 namespace xrpl::ledger {
 namespace {
 
-// The recorded dense indices start in the 43-byte key's alignment
-// padding; appending them after the limits would cost 112 bytes.
-static_assert(sizeof(TrustLine) == 104);
+// A line is its 43-byte key and three amounts; its endpoint and
+// currency indices live in the ledger's topology (line_ends), so a
+// clone copies 96 bytes per line.
+static_assert(sizeof(TrustLine) == 96);
 
 class TrustLineTest : public ::testing::Test {
 protected:

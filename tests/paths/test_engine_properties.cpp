@@ -71,7 +71,7 @@ World build_world(std::uint64_t seed) {
             (void)line.transfer_from(gw, IouAmount::from_double(500.0));
         }
     }
-    for (const auto& [account, root] : world.state.accounts()) {
+    for (const ledger::AccountRoot& root : world.state.accounts()) {
         world.initial_drops += root.balance.drops;
     }
     return world;
@@ -143,7 +143,7 @@ TEST_P(EngineProperty, XrpIsConservedModuloBurns) {
         (void)engine.execute(random_payment(world, rng));
     }
     std::int64_t total = 0;
-    for (const auto& [account, root] : world.state.accounts()) {
+    for (const ledger::AccountRoot& root : world.state.accounts()) {
         total += root.balance.drops;
     }
     EXPECT_EQ(total + world.state.burned_fees().drops, world.initial_drops);

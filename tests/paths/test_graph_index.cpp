@@ -111,9 +111,9 @@ TEST_F(GraphIndexTest, DirectionBitMatchesCapacityFrom) {
         ASSERT_EQ(edges.size(), 1u);
         // Out-capacity through the direction bit == the scan's
         // capacity_from(node), byte for byte.
-        EXPECT_EQ(
-            edges[0].line->directed_capacity(edges[0].node_is_low).to_double(),
-            edges[0].line->capacity_from(node).to_double());
+        const ledger::TrustLine& stored = state_.lines()[edges[0].line];
+        EXPECT_EQ(stored.directed_capacity(edges[0].node_is_low).to_double(),
+                  stored.capacity_from(node).to_double());
     }
 }
 
@@ -181,7 +181,9 @@ void expect_partitions_match_lines_of(const LedgerState& ledger,
                 const ledger::AccountRoot* peer =
                     ledger.account(line->peer_of(node));
                 ASSERT_NE(peer, nullptr);
-                expected.push_back(GraphIndex::Edge{peer->index, line,
+                const auto line_index =
+                    static_cast<std::uint32_t>(line - ledger.lines().data());
+                expected.push_back(GraphIndex::Edge{peer->index, line_index,
                                                     node == line->key().low,
                                                     peer->allows_rippling});
             }
@@ -290,7 +292,7 @@ TEST_F(GraphIndexTest, EnsureIsLazyUntilTopologyMoves) {
     EXPECT_EQ(index.edge_count(), 4u);
 }
 
-TEST_F(GraphIndexTest, CapacityReadLiveThroughStoredPointer) {
+TEST_F(GraphIndexTest, CapacityReadLiveThroughStoredLineIndex) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     ledger::TrustLine& line = edge(a, b, kUsd, 100.0);
@@ -300,13 +302,16 @@ TEST_F(GraphIndexTest, CapacityReadLiveThroughStoredPointer) {
     ASSERT_NE(part, nullptr);
     const auto edges = part->edges_of(index_of(a));
     ASSERT_EQ(edges.size(), 1u);
-    EXPECT_NEAR(edges[0].line->directed_capacity(edges[0].node_is_low).to_double(),
-                100.0, 1e-9);
+    const auto capacity = [&] {
+        return state_.lines()[edges[0].line]
+            .directed_capacity(edges[0].node_is_low)
+            .to_double();
+    };
+    EXPECT_NEAR(capacity(), 100.0, 1e-9);
     // Mutate the balance after the build: the stale index must still
     // see the new capacity (it never copied the number).
     ASSERT_TRUE(line.transfer_from(a, IouAmount::from_double(60.0)));
-    EXPECT_NEAR(edges[0].line->directed_capacity(edges[0].node_is_low).to_double(),
-                40.0, 1e-9);
+    EXPECT_NEAR(capacity(), 40.0, 1e-9);
 }
 
 TEST_F(GraphIndexTest, CloneRebuildsItsOwnIndex) {
