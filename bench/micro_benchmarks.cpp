@@ -271,6 +271,48 @@ void BM_GraphIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphIndexBuild)->Unit(benchmark::kMillisecond);
 
+// One clone of that population, its first topology change (an
+// AccountCreate and a TrustSet through PaymentEngine::apply), one path
+// search and the clone's release: what the payments node phase pays
+// for its first new account. A warm-up search first gives the
+// population's clones their index, as the workload's set-up does.
+void BM_CloneFirstTopologyChange(benchmark::State& state) {
+    const datagen::PopulationSnapshot& snapshot = payments_population();
+    const datagen::Population& population = snapshot.population;
+    ledger::Transaction create;
+    create.type = ledger::TxType::kAccountCreate;
+    create.sender = population.market_makers.front();
+    create.destination = ledger::AccountID::from_seed("bm:clone-first-change");
+    create.amount = ledger::Amount::xrp(250.0);
+    create.source_currency = ledger::Currency::xrp();
+    ledger::Transaction trust;
+    trust.type = ledger::TxType::kTrustSet;
+    trust.sender = create.destination;
+    trust.trust_peer = population.gateways.front();
+    trust.trust_currency = population.gateway_currencies.front().front();
+    trust.trust_limit = ledger::IouAmount::from_int(1'000);
+    const ledger::AccountID& from = population.users.front();
+    const ledger::AccountID& to = population.merchants.front();
+    const ledger::Currency currency =
+        snapshot.ledger.lines_of(from)[0]->key().currency;
+    paths::PathFinder finder;
+    {
+        const ledger::LedgerState warm = snapshot.ledger.clone();
+        const paths::TrustGraph graph(warm);
+        benchmark::DoNotOptimize(finder.find(graph, from, to, currency));
+    }
+    for (auto _ : state) {
+        ledger::LedgerState copy = snapshot.ledger.clone();
+        paths::PaymentEngine engine(copy);
+        if (!engine.apply(create).success || !engine.apply(trust).success) {
+            state.SkipWithError("topology change failed");
+            break;
+        }
+        benchmark::DoNotOptimize(finder.find(engine.graph(), from, to, currency));
+    }
+}
+BENCHMARK(BM_CloneFirstTopologyChange)->Unit(benchmark::kMillisecond);
+
 // End-to-end node throughput: submit -> consensus -> sealed -> applied.
 void BM_NodeRound(benchmark::State& state) {
     ledger::LedgerState world;

@@ -10,21 +10,35 @@
 //     the AccountID / TrustLineKey / Currency -> index maps, each
 //     line's endpoint and currency indices, the accounts' rippling
 //     flags, and the adjacency lists of line indices.
-// A topology is frozen by the first clone that shares it; a ledger
-// holding a frozen topology copies it at its first topology change
-// (copy-on-write), so no ledger ever changes what another one sees.
+// A topology is frozen by the first clone that shares it. A ledger
+// holding a frozen topology keeps its later accounts, lines and
+// currencies in a private TAIL over it: small key maps that lookups
+// consult after the shared ones, the flat arrays extended by the new
+// entries, and the lists of the accounts the new lines touch. So no
+// ledger ever changes what another one sees, and none copies a shared
+// key map, except clone() of a ledger with a tail, which flattens
+// shared part and tail into a new topology for the clone. A topology
+// no clone has frozen is held by one ledger and changes in place.
 //
 // Order contract: lines_of() is in creation order on a ledger built
 // by inserts; on a clone it is in the iteration order of the
 // line-key map, an order the pinned goldens depend on (ROADMAP item
 // 1). That clone-order adjacency is derived at most once per topology
-// and shared by every clone of it.
+// and shared by every clone of it. A tail appends: an account's
+// lines_of() is its shared list followed by its tail lines in
+// creation order.
+//
+// Shared derived data: shared_derived() keeps one object per
+// (topology, lines_of() order) pair on the topology, built once under
+// its lock; paths::GraphIndex keeps its CSR index there, so every
+// clone of one snapshot searches one index.
 //
 // Pointer validity: a TrustLine* / AccountRoot* from trustline(),
 // set_trust() or account(), and a TrustLineList from lines_of(), stay
 // valid only until the next topology change (account or trust-line
 // creation) on that ledger, which may reallocate the stores. Balance,
-// limit and offer updates never invalidate them.
+// limit and offer updates never invalidate them. Line and account
+// indices stay valid for the ledger's lifetime: nothing renumbers.
 #pragma once
 
 #include <cstddef>
@@ -44,21 +58,24 @@
 namespace xrpl::ledger {
 
 /// Per-account root entry, per-ledger state. The balance and sequence
-/// change; id, flags and index are fixed when the account is created.
+/// change; id, flags and index are fixed when the account is created,
+/// so they are const: the topology's key map and ripple_flags() (which
+/// paths::GraphIndex caches per edge, for every clone) mirror them.
 struct AccountRoot {
-    AccountID id;
+    const AccountID id;
     XrpAmount balance;        // native XRP, in drops
     std::uint32_t sequence = 0;
-    bool is_gateway = false;  // publicly-announced gateway flag (Fig 7 labelling)
+    /// Publicly-announced gateway flag (Fig 7 labelling).
+    const bool is_gateway = false;
     /// The DefaultRipple semantics of the real ledger: payments may
     /// ripple THROUGH an account (use it as an intermediate hop) only
     /// if it permits it. Gateways, Market Makers, and hub accounts
     /// enable it; ordinary users and merchants do not, so strangers
     /// cannot route value through their balances.
-    bool allows_rippling = false;
+    const bool allows_rippling = false;
     /// Dense index assigned at creation; lets graph algorithms use
     /// flat arrays instead of hash maps.
-    std::uint32_t index = 0;
+    const std::uint32_t index = 0;
 };
 
 /// A list of trust lines held as line indices and read as pointers
@@ -156,21 +173,25 @@ public:
     using Book = std::pair<BookKey, std::vector<Offer>>;
 
     LedgerState();
+    ~LedgerState();
 
     // Not copyable: a plain copy would not say which lines_of() order
     // the copy presents. Use clone(). A moved-from ledger may only be
     // assigned to or destroyed.
     LedgerState(const LedgerState&) = delete;
     LedgerState& operator=(const LedgerState&) = delete;
-    LedgerState(LedgerState&&) noexcept = default;
-    LedgerState& operator=(LedgerState&&) noexcept = default;
+    LedgerState(LedgerState&&) noexcept;
+    LedgerState& operator=(LedgerState&&) noexcept;
 
     /// Copy of the state (lines, accounts, books: flat arrays, no key
     /// hashed) sharing this ledger's topology, which freezes it. The
     /// clone's lines_of() is in the line-key map's iteration order
-    /// (see the header comment), derived once per topology. Safe to
-    /// call concurrently on one const ledger. Replay experiments run
-    /// against a clone so the original snapshot stays pristine.
+    /// (see the header comment), derived once per topology. A ledger
+    /// with a tail instead gives the clone a new topology: the shared
+    /// key maps copied and the tail's keys inserted in creation order.
+    /// Safe to call concurrently on one const ledger. Replay
+    /// experiments run against a clone so the original snapshot stays
+    /// pristine.
     [[nodiscard]] LedgerState clone() const;
 
     // --- accounts ---------------------------------------------------
@@ -182,7 +203,8 @@ public:
                         bool is_gateway = false, bool allows_rippling = false);
 
     /// The account's root entry, or nullptr. Valid until the next
-    /// topology change on this ledger.
+    /// topology change on this ledger. Through the mutable overload
+    /// only the balance and the sequence are writable.
     [[nodiscard]] const AccountRoot* account(const AccountID& id) const noexcept;
     [[nodiscard]] AccountRoot* account(const AccountID& id) noexcept;
     [[nodiscard]] std::size_t account_count() const noexcept { return accounts_.size(); }
@@ -224,8 +246,8 @@ public:
                                        Currency currency) noexcept;
 
     /// All trust lines touching `account` (any currency), in creation
-    /// order (in a clone: the order clone() documents). Empty for an
-    /// unknown account.
+    /// order (in a clone: the order clone() documents, then the tail's
+    /// lines in creation order). Empty for an unknown account.
     [[nodiscard]] TrustLineList lines_of(const AccountID& account) const noexcept;
 
     /// lines_of() the account with dense index `index`, without the
@@ -234,6 +256,7 @@ public:
 
     /// Every trust line by dense line index (creation order).
     [[nodiscard]] std::span<const TrustLine> lines() const noexcept { return lines_; }
+    [[nodiscard]] std::span<TrustLine> lines() noexcept { return lines_; }
 
     /// Each line's endpoint and currency indices, by line index.
     [[nodiscard]] std::span<const TrustLineIndices> line_ends() const noexcept;
@@ -308,31 +331,70 @@ public:
         return accounts_;
     }
 
+    // --- derived data shared with clones -------------------------------
+
+    /// How many accounts, trust lines and currencies a topology numbers.
+    struct TopologySize {
+        std::uint32_t accounts = 0;
+        std::uint32_t lines = 0;
+        std::uint32_t currencies = 0;
+    };
+    using SharedMake =
+        std::function<std::shared_ptr<const void>(TopologySize shared)>;
+
+    /// An object derived from the topology this ledger shares, in this
+    /// ledger's lines_of() order: made by `make` at most once per
+    /// (topology, order) pair, under the topology's lock, and returned
+    /// to every ledger holding that pair (paths::GraphIndex keeps its
+    /// CSR index here). `shared` is the shared part's size: this
+    /// ledger's accounts, lines and currencies below those numbers, and
+    /// each account's lines_of() entries below `shared.lines`, are the
+    /// pair's; the rest is this ledger's tail. `make` must not call
+    /// clone() or shared_derived() on a ledger of the same topology. A
+    /// topology only this ledger holds drops the object at its next
+    /// topology change, since it changes in place.
+    [[nodiscard]] std::shared_ptr<const void> shared_derived(
+        const SharedMake& make) const;
+
 private:
-    struct Topology;  // ledger.cpp
+    struct Numbering;  // ledger.cpp
+    struct Topology;
+    struct Tail;
     /// Line indices touching each account, by account index.
     using Adjacency = std::vector<std::vector<std::uint32_t>>;
 
     LedgerState(std::shared_ptr<const Topology> topology,
                 std::shared_ptr<const Adjacency> adjacency) noexcept;
 
-    /// The topology and adjacency this ledger may change: a frozen
-    /// (shared) pair is copied first.
-    struct Owned {
-        Topology& topology;
-        Adjacency& adjacency;
-    };
-    Owned own_topology();
+    /// Where this ledger's next topology change goes: its tail (made
+    /// on first use) once its topology is frozen, else the topology in
+    /// place, which drops what shared_derived() kept for it.
+    Numbering& writable_numbering();
+    /// `account`'s lines_of() list, for appending a line: its tail
+    /// list (starting as a copy of its shared list) once there is a
+    /// tail, else its adjacency list in place.
+    std::vector<std::uint32_t>& writable_list(std::uint32_t account);
 
-    /// The adjacency a clone presents, derived on first use.
+    /// The numbering whose flat arrays cover every entry: the tail's
+    /// if there is one, else the topology's.
+    [[nodiscard]] const Numbering& numbering() const noexcept;
+
+    /// The adjacency a clone of a tail-free ledger presents, derived on
+    /// first use.
     [[nodiscard]] std::shared_ptr<const Adjacency> clone_adjacency() const;
+    /// clone()'s ledger for a ledger with a tail: shared part and tail
+    /// flattened into a new, frozen topology in its map order.
+    [[nodiscard]] LedgerState flattened() const;
 
     [[nodiscard]] std::optional<std::uint32_t> index_of(
         const AccountID& id) const noexcept;
+    [[nodiscard]] std::optional<std::uint32_t> line_index_of(
+        const TrustLineKey& key) const noexcept;
 
-    // Topology, shared with clones.
+    // Topology, shared with clones, and this ledger's tail over it.
     std::shared_ptr<const Topology> topology_;
     std::shared_ptr<const Adjacency> adjacency_;
+    std::unique_ptr<Tail> tail_;
     // State, copied by clone().
     std::vector<AccountRoot> accounts_;
     std::vector<TrustLine> lines_;

@@ -64,12 +64,12 @@ struct ScanExpander {
     }
 };
 
-/// Indexed engine: walk the currency partition's CSR spans. No
-/// hashing, no account() lookups — peer index, line index, direction
-/// bit, and rippling flag are all in the 12-byte Edge record; only
-/// capacity is read live from the ledger's line store. A null
-/// partition (no line in this currency) behaves as an empty graph so
-/// both engines walk the same trivial frontier.
+/// Indexed engine: walk the currency partition's CSR spans, then the
+/// node's tail edges. No hashing, no account() lookups — peer index,
+/// line index, direction bit, and rippling flag are all in the 12-byte
+/// Edge record; only capacity is read live from the ledger's line
+/// store. An absent partition (no line in this currency) behaves as
+/// an empty graph so both engines walk the same trivial frontier.
 ///
 /// DefaultRipple comes first: an edge to a peer that blocks rippling
 /// and is neither endpoint is skipped before the exclusion probe and
@@ -78,7 +78,7 @@ struct ScanExpander {
 /// visit in the same order as without the pre-filter.
 struct IndexedExpander {
     const TrustGraph& graph;
-    const GraphIndex::Partition* part;
+    SearchIndex::PartitionView part;
     const ledger::TrustLine* lines;  // the searched ledger's line store
     std::uint32_t src_index;
     std::uint32_t dst_index;
@@ -98,20 +98,22 @@ struct IndexedExpander {
     /// in-edges from the peer's end.
     template <typename Visit>
     void walk(std::uint32_t node_index, bool outward, Visit& visit) const {
-        if (part == nullptr) return;
         std::uint64_t reads = 0;
-        for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
+        const auto step = [&](const GraphIndex::Edge& edge) {
             if (!edge.peer_ripples && edge.peer != src_index &&
                 edge.peer != dst_index) {
-                continue;
+                return;
             }
-            if (graph.is_excluded_index(edge.peer)) continue;
+            if (graph.is_excluded_index(edge.peer)) return;
             ++reads;
             const IouAmount cap =
                 lines[edge.line].directed_capacity(edge.node_is_low == outward);
-            if (cap.is_zero() || cap.is_negative()) continue;
+            if (cap.is_zero() || cap.is_negative()) return;
             visit(edge.peer, edge.peer_ripples, edge.line);
-        }
+        };
+        const SearchIndex::EdgeSpans spans = part.edges_of(node_index);
+        for (const GraphIndex::Edge& edge : spans.shared) step(edge);
+        for (const GraphIndex::Edge& edge : spans.tail) step(edge);
         capacity_reads += reads;
     }
 };
@@ -267,6 +269,7 @@ std::optional<TrustPath> PathFinder::run_search(
                 "a found path has one line per hop");
     path.capacity = path_capacity(ledger, path.nodes, lines);
     if (path.capacity.is_zero() || path.capacity.is_negative()) return std::nullopt;
+    path.lines = std::move(lines);
     return path;
 }
 

@@ -24,9 +24,13 @@
 namespace xrpl::paths {
 
 /// A discovered trust path: the full node sequence, endpoints
-/// included, plus its bottleneck capacity.
+/// included, the line of each hop, and its bottleneck capacity.
 struct TrustPath {
     std::vector<ledger::AccountID> nodes;  // [sender, ..., receiver]
+    /// lines[i] is the index (LedgerState::lines()) of the trust line
+    /// joining nodes[i] and nodes[i + 1]. Line indices are never
+    /// renumbered, so they outlive later topology changes.
+    std::vector<std::uint32_t> lines;
     ledger::IouAmount capacity;            // min line capacity along the path
 
     /// Intermediate node count (paper's Fig 6(a) x-axis).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/contract.hpp"
+
 namespace xrpl::paths {
 
 using ledger::AccountID;
@@ -50,14 +52,15 @@ void PaymentEngine::rollback(const Journal& journal) {
 }
 
 bool PaymentEngine::send_along_path(const TrustPath& path, IouAmount amount,
-                                    Currency currency, Journal& journal) {
+                                    Journal& journal) {
+    XRPL_ASSERT(path.lines.size() + 1 == path.nodes.size(),
+                "a path names one line per hop");
     const std::size_t start = journal.lines.size();
-    for (std::size_t i = 0; i + 1 < path.nodes.size(); ++i) {
-        ledger::TrustLine* line =
-            ledger_->trustline(path.nodes[i], path.nodes[i + 1], currency);
-        const ledger::IouAmount before =
-            line == nullptr ? ledger::IouAmount{} : line->balance();
-        if (line == nullptr || !line->transfer_from(path.nodes[i], amount)) {
+    const std::span<ledger::TrustLine> lines = ledger_->lines();
+    for (std::size_t i = 0; i < path.lines.size(); ++i) {
+        ledger::TrustLine& line = lines[path.lines[i]];
+        const ledger::IouAmount before = line.balance();
+        if (!line.transfer_from(path.nodes[i], amount)) {
             // Undo the hops applied so far in this call.
             while (journal.lines.size() > start) {
                 const LineTransfer& entry = journal.lines.back();
@@ -66,7 +69,7 @@ bool PaymentEngine::send_along_path(const TrustPath& path, IouAmount amount,
             }
             return false;
         }
-        journal.lines.push_back(LineTransfer{line, before});
+        journal.lines.push_back(LineTransfer{&line, before});
     }
     return true;
 }
@@ -107,7 +110,7 @@ bool PaymentEngine::deliver_same_currency(const AccountID& from, const AccountID
 
         const IouAmount send = path->capacity < remaining ? path->capacity : remaining;
         if (send.is_zero() || send.is_negative()) return false;
-        if (!send_along_path(*path, send, currency, journal)) return false;
+        if (!send_along_path(*path, send, journal)) return false;
 
         result.parallel_paths += 1;
         result.intermediate_hops = std::max(
@@ -342,25 +345,34 @@ TxResult PaymentEngine::execute_along(
     const IouAmount share = request.deliver.value.scaled_by(
         1.0 / static_cast<double>(explicit_paths.size()));
 
-    Journal journal;
+    // Resolve every path's lines, once each, before any value moves.
+    std::vector<TrustPath> paths;
+    paths.reserve(explicit_paths.size());
     for (const std::vector<AccountID>& nodes : explicit_paths) {
         if (nodes.size() < 2 || nodes.front() != request.sender ||
             nodes.back() != request.destination) {
-            rollback(journal);
             return result;
         }
         // Explicit paths still obey DefaultRipple: every interior node
         // must permit rippling.
         for (std::size_t i = 1; i + 1 < nodes.size(); ++i) {
             const ledger::AccountRoot* root = ledger_->account(nodes[i]);
-            if (root == nullptr || !root->allows_rippling) {
-                rollback(journal);
-                return result;
-            }
+            if (root == nullptr || !root->allows_rippling) return result;
         }
-        TrustPath path;
+        TrustPath& path = paths.emplace_back();
         path.nodes = nodes;
-        if (!send_along_path(path, share, currency, journal)) {
+        for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
+            const ledger::TrustLine* line =
+                ledger_->trustline(nodes[i], nodes[i + 1], currency);
+            if (line == nullptr) return result;
+            path.lines.push_back(
+                static_cast<std::uint32_t>(line - ledger_->lines().data()));
+        }
+    }
+
+    Journal journal;
+    for (const TrustPath& path : paths) {
+        if (!send_along_path(path, share, journal)) {
             rollback(journal);
             return result;
         }
@@ -369,7 +381,7 @@ TxResult PaymentEngine::execute_along(
             result.intermediate_hops,
             static_cast<std::uint32_t>(path.intermediate_hops()));
         result.intermediaries.insert(result.intermediaries.end(),
-                                     nodes.begin() + 1, nodes.end() - 1);
+                                     path.nodes.begin() + 1, path.nodes.end() - 1);
     }
 
     result.success = true;

@@ -126,10 +126,11 @@ private:
     };
     void rollback(const Journal& journal);
 
-    /// Move `amount` along `path` (trust lines), journaling each hop.
-    /// Returns false (nothing journaled from this call) on failure.
+    /// Move `amount` along `path`, hop i over line path.lines[i],
+    /// journaling each hop. Returns false (nothing journaled from this
+    /// call) on failure.
     bool send_along_path(const TrustPath& path, ledger::IouAmount amount,
-                         ledger::Currency currency, Journal& journal);
+                         Journal& journal);
 
     /// Raw XRP move (no fee), journaled. Fails on insufficient funds.
     bool send_xrp(const ledger::AccountID& from, const ledger::AccountID& to,

@@ -8,8 +8,10 @@
 //
 // Two engines answer neighbor queries (selected by the XRPL_PATH_INDEX
 // option, overridable per instance):
-//  * indexed (default) — a lazily built, currency-partitioned CSR
-//    GraphIndex; the BFS inner loop walks flat uint32 spans.
+//  * indexed (default) — a currency-partitioned CSR GraphIndex shared
+//    by every ledger that holds the searched ledger's topology in its
+//    lines_of() order, plus the ledger's own tail edges (SearchIndex);
+//    the BFS inner loop walks flat uint32 spans.
 //  * legacy scan — the original lines_of() scan, kept as the parity
 //    reference (for_each_neighbor / for_each_in_neighbor below).
 // Both produce identical paths and ReplayStats; the parity suite
@@ -57,13 +59,13 @@ public:
     /// Which engine this graph's searches use.
     [[nodiscard]] bool uses_index() const noexcept { return use_index_; }
 
-    /// The CSR index, rebuilt here if the ledger topology moved since
-    /// the last query. Exclusions never invalidate it (they are
-    /// visit-time filters), and neither do balance/limit updates. A
-    /// rebuild re-stamps every exclusion, because the topology move
-    /// may have created an account that was excluded before it
-    /// existed.
-    [[nodiscard]] const GraphIndex& index() const {
+    /// The CSR index, refreshed here if the ledger topology moved since
+    /// the last query (SearchIndex::ensure). Exclusions never
+    /// invalidate it (they are visit-time filters), and neither do
+    /// balance/limit updates. Every topology move re-stamps every
+    /// exclusion, because it may have created an account that was
+    /// excluded before it existed.
+    [[nodiscard]] const SearchIndex& index() const {
         if (index_.ensure(*ledger_)) {
             for (const ledger::AccountID& account : excluded_) stamp(account);
         }
@@ -133,7 +135,7 @@ private:
     mutable std::vector<std::uint64_t> excluded_stamp_;
     std::uint64_t exclusion_epoch_ = 1;
     bool use_index_;
-    mutable GraphIndex index_;
+    mutable SearchIndex index_;
 };
 
 }  // namespace xrpl::paths

@@ -40,33 +40,35 @@ struct ScanExpander {
             [&](const AccountID& peer, const ledger::TrustLine* line) {
                 const ledger::AccountRoot* root = ledger.account(peer);
                 if (root == nullptr) return;
-                visit(root->index, root->allows_rippling,
-                      line->capacity_from(node));
+                visit(root->index, root->allows_rippling, line->capacity_from(node),
+                      static_cast<std::uint32_t>(line - ledger.lines().data()));
             });
     }
 };
 
-/// Indexed engine: flat CSR span walk; capacity read live from the
-/// ledger's line store at the edge's line index, direction resolved by
-/// the edge's bit. An edge to a non-rippling peer other than the
-/// destination is skipped before the capacity read: run_search would
-/// drop it (DefaultRipple).
+/// Indexed engine: flat CSR span walk, then the node's tail edges;
+/// capacity read live from the ledger's line store at the edge's line
+/// index, direction resolved by the edge's bit. An edge to a
+/// non-rippling peer other than the destination is skipped before the
+/// capacity read: run_search would drop it (DefaultRipple).
 struct IndexedExpander {
     const TrustGraph& graph;
-    const GraphIndex::Partition* part;
+    SearchIndex::PartitionView part;
     const ledger::TrustLine* lines;  // the searched ledger's line store
     std::uint32_t dst_index;
 
     template <typename Visit>
     void out(std::uint32_t node_index, Visit&& visit) const {
-        if (part == nullptr) return;
-        for (const GraphIndex::Edge& edge : part->edges_of(node_index)) {
-            if (!edge.peer_ripples && edge.peer != dst_index) continue;
-            if (graph.is_excluded_index(edge.peer)) continue;
+        const auto step = [&](const GraphIndex::Edge& edge) {
+            if (!edge.peer_ripples && edge.peer != dst_index) return;
+            if (graph.is_excluded_index(edge.peer)) return;
             const IouAmount cap = lines[edge.line].directed_capacity(edge.node_is_low);
-            if (cap.is_zero() || cap.is_negative()) continue;
-            visit(edge.peer, edge.peer_ripples, cap);
-        }
+            if (cap.is_zero() || cap.is_negative()) return;
+            visit(edge.peer, edge.peer_ripples, cap, edge.line);
+        };
+        const SearchIndex::EdgeSpans spans = part.edges_of(node_index);
+        for (const GraphIndex::Edge& edge : spans.shared) step(edge);
+        for (const GraphIndex::Edge& edge : spans.tail) step(edge);
     }
 };
 
@@ -115,7 +117,7 @@ std::optional<TrustPath> WidestPathFinder::run_search(
         if (label.depth >= config_.max_intermediate_hops + 1) continue;
 
         expand.out(top.index, [&](std::uint32_t peer_index, bool peer_ripples,
-                                  IouAmount edge) {
+                                  IouAmount edge, std::uint32_t line) {
             if (!peer_ripples && peer_index != dst_index) return;
             // The expanders filter non-positive capacities; a negative
             // edge here means the filter and this relaxation disagree
@@ -129,6 +131,7 @@ std::optional<TrustPath> WidestPathFinder::run_search(
             if (peer_label.best.is_zero() || peer_label.best < bottleneck) {
                 peer_label.best = bottleneck;
                 peer_label.parent = top.index;
+                peer_label.line = line;
                 peer_label.depth = static_cast<std::uint8_t>(label.depth + 1);
                 frontier.push(QueueEntry{bottleneck, peer_index});
             }
@@ -144,9 +147,11 @@ std::optional<TrustPath> WidestPathFinder::run_search(
         path.nodes.push_back(ledger.account_by_index(cursor));
         const NodeLabel& label = labels_[cursor];
         if (label.parent == cursor) break;
+        path.lines.push_back(label.line);
         cursor = label.parent;
     }
     std::reverse(path.nodes.begin(), path.nodes.end());
+    std::reverse(path.lines.begin(), path.lines.end());
     if (path.nodes.front() != from || path.nodes.back() != to) return std::nullopt;
     if (path.nodes.size() - 2 > config_.max_intermediate_hops) return std::nullopt;
     // A settled destination label is the min over positive edge

@@ -37,8 +37,9 @@ public:
 
 private:
     /// Engine-agnostic max-bottleneck Dijkstra. `expand.out(i, visit)`
-    /// calls visit(peer_index, peer_ripples, capacity) for every
-    /// positive-capacity, non-excluded out-neighbor of dense index i.
+    /// calls visit(peer_index, peer_ripples, capacity, line_index) for
+    /// every positive-capacity, non-excluded out-neighbor of dense
+    /// index i.
     /// Defined in widest_path.cpp; instantiated for the two expanders.
     template <typename Expander>
     std::optional<TrustPath> run_search(const TrustGraph& graph,
@@ -56,6 +57,7 @@ private:
         std::uint64_t epoch = 0;
         ledger::IouAmount best;  // widest bottleneck found so far
         std::uint32_t parent = 0;
+        std::uint32_t line = 0;  // line index of the edge from `parent`
         std::uint8_t depth = 0;
         bool settled = false;
     };

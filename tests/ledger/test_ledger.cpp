@@ -2,8 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+#include <utility>
+
 namespace xrpl::ledger {
 namespace {
+
+// Through the mutable account() only the balance and the sequence are
+// writable: the id, the flags and the dense index are mirrored by the
+// topology's key map and ripple_flags(), which clones share.
+using MutableRoot = decltype(*std::declval<LedgerState&>().account(AccountID{}));
+static_assert(
+    !std::is_assignable_v<decltype((std::declval<MutableRoot>().id)), AccountID>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<MutableRoot>().is_gateway)), bool>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<MutableRoot>().allows_rippling)), bool>);
+static_assert(!std::is_assignable_v<
+              decltype((std::declval<MutableRoot>().index)), std::uint32_t>);
+static_assert(std::is_assignable_v<
+              decltype((std::declval<MutableRoot>().balance)), XrpAmount>);
+static_assert(std::is_assignable_v<
+              decltype((std::declval<MutableRoot>().sequence)), std::uint32_t>);
 
 class LedgerStateTest : public ::testing::Test {
 protected:

@@ -5,9 +5,11 @@
 // fingerprint, Table II, Fig 6) depend on that order (ROADMAP item 1).
 // These digests pin it for the original, a clone, a clone of the
 // clone and a clone of a modified clone, so a change to how the
-// ledger stores lines cannot move it silently. The other cases pin
-// independence: whatever one ledger changes — topology or balances —
-// no other ledger sees.
+// ledger stores lines cannot move it silently. Further digests pin
+// what every topology accessor answers on grown ledgers (a clone, a
+// clone of it, an original), whatever holds their new accounts and
+// lines. The other cases pin independence: whatever one ledger
+// changes — topology or balances — no other ledger sees.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -51,6 +53,79 @@ std::string order_digest(const LedgerState& ledger) {
     return util::hex_encode(hasher.finish());
 }
 
+/// SHA-256 over what the topology accessors answer, accounts in
+/// dense-index order: topology_generation(), the counts, the currency
+/// numbering (currency_by_index() and currency_index()), and for each
+/// account its account() root and ripple_flags() entry, then each line
+/// of its lines_of() list with the line's index, its line_ends() entry
+/// and whether trustline() finds that same line by key.
+std::string topology_digest(const LedgerState& ledger) {
+    util::Sha256 hasher;
+    const auto put = [&](std::uint64_t value) {
+        hasher.update(std::to_string(value) + ",");
+    };
+    put(ledger.topology_generation());
+    put(ledger.account_count());
+    put(ledger.trustline_count());
+    put(ledger.currency_count());
+    for (std::uint32_t c = 0; c < ledger.currency_count(); ++c) {
+        const Currency currency = ledger.currency_by_index(c);
+        hasher.update(std::string_view(currency.code.data(), 3));
+        put(ledger.currency_index(currency).value_or(~0u));
+    }
+    const auto flags = ledger.ripple_flags();
+    const auto ends = ledger.line_ends();
+    put(flags.size());
+    put(ends.size());
+    for (std::uint32_t i = 0; i < ledger.account_count(); ++i) {
+        const AccountID& id = ledger.account_by_index(i);
+        const AccountRoot* root = ledger.account(id);
+        hasher.update(id.bytes);
+        put(root == nullptr ? ~0u : root->index);
+        if (root != nullptr) {
+            put(root->is_gateway ? 1 : 0);
+            put(root->allows_rippling ? 1 : 0);
+            put(static_cast<std::uint64_t>(root->balance.drops));
+            put(root->sequence);
+        }
+        put(flags[i]);
+        for (const TrustLine* line : ledger.lines_of(id)) {
+            const auto index =
+                static_cast<std::uint64_t>(line - ledger.lines().data());
+            const TrustLineKey& key = line->key();
+            put(index);
+            put(ends[index].low);
+            put(ends[index].high);
+            put(ends[index].currency);
+            put(ledger.trustline(key.low, key.high, key.currency) == line ? 1 : 0);
+        }
+    }
+    return util::hex_encode(hasher.finish());
+}
+
+/// Two new accounts (one rippling) and four new lines on `ledger`: new
+/// account to a gateway and to a hub in an existing currency, between
+/// the two new accounts, and between two existing accounts in a
+/// currency no line used before; plus a limit update on an existing
+/// line, which is not a topology change.
+void grow(LedgerState& ledger, const datagen::Population& population) {
+    const AccountID fresh = AccountID::from_seed("clone-test:grow:fresh");
+    const AccountID relay = AccountID::from_seed("clone-test:grow:relay");
+    ASSERT_TRUE(ledger.create_account(fresh, XrpAmount::from_xrp(100)));
+    ASSERT_TRUE(ledger.create_account(relay, XrpAmount::from_xrp(50), false, true));
+    const AccountID& gateway = population.gateways.front();
+    const Currency currency = population.gateway_currencies.front().front();
+    ledger.set_trust(fresh, gateway, currency, IouAmount::from_double(500));
+    ledger.set_trust(fresh, population.hubs.front(), currency,
+                     IouAmount::from_double(50));
+    ledger.set_trust(relay, fresh, currency, IouAmount::from_double(5));
+    const Currency unused = Currency::from_code("ZZZ");
+    ASSERT_FALSE(ledger.currency_index(unused).has_value());
+    ledger.set_trust(population.users.front(), population.hubs.back(), unused,
+                     IouAmount::from_double(7));
+    ledger.set_trust(gateway, fresh, currency, IouAmount::from_double(9));
+}
+
 /// The keys of `account`'s lines, in lines_of() order.
 std::vector<TrustLineKey> keys_of(const LedgerState& ledger, const AccountID& account) {
     std::vector<TrustLineKey> keys;
@@ -87,6 +162,14 @@ constexpr const char* kCloneOrder =
     "7dbfe7283d423a80b3a712a747aa5601bdd5234d09f31e054a797ca265b9b6c8";
 constexpr const char* kModifiedCloneOrder =
     "306b72fcbb45e5824e3a4cb3b2e33cfdf649596386ac1f451690a71f3bf77648";
+// topology_digest() after grow(), computed with the copy-on-write
+// topology (each grown ledger copied its topology and changed the copy).
+constexpr const char* kGrownCloneTopology =
+    "c0fe0d6d9e220fc483297bfa801e3a93b017f6651521932ff71f0bc8809fc8cb";
+constexpr const char* kCloneOfGrownCloneTopology =
+    "1193cdf35ce4f6a81593078ee5a66bb226dac019a9498334419e9d79e518a2cd";
+constexpr const char* kGrownOriginalTopology =
+    "5ec8bd86bfb48bd9372612feeced152a37ea15ce2f95bfde5e6447c3bba55700";
 
 TEST_F(LedgerCloneTest, PopulationIsLargeEnoughToShowTheOrder) {
     EXPECT_GT(original().account_count(), 300u);
@@ -179,6 +262,31 @@ TEST_F(LedgerCloneTest, TopologyChangeOnTheOriginalLeavesClonesAlone) {
     EXPECT_EQ(clone.trustline(fresh, gateway, currency), nullptr);
     EXPECT_EQ(order_digest(clone), clone_order);
     EXPECT_EQ(clone_order, kCloneOrder);
+}
+
+TEST_F(LedgerCloneTest, GrownLedgersAnswerEveryTopologyAccessorAsPinned) {
+    const std::string untouched = topology_digest(original());
+    LedgerState grown = original().clone();
+    const LedgerState sibling = original().clone();
+    const std::string sibling_before = topology_digest(sibling);
+    grow(grown, population());
+    EXPECT_EQ(grown.topology_generation(), original().topology_generation() + 6);
+    EXPECT_EQ(topology_digest(grown), kGrownCloneTopology);
+    const LedgerState grown_clone = grown.clone();
+    EXPECT_EQ(topology_digest(grown_clone), kCloneOfGrownCloneTopology);
+    EXPECT_EQ(order_digest(grown_clone), order_digest(grown_clone.clone()));
+    EXPECT_EQ(topology_digest(original()), untouched);
+    EXPECT_EQ(topology_digest(sibling), sibling_before);
+
+    // An original built by inserts, grown after a clone froze its
+    // topology; the clone stays as it was.
+    datagen::PopulationSnapshot built =
+        datagen::generate_population_only(small_config());
+    const LedgerState frozen_by = built.ledger.clone();
+    const std::string clone_before = topology_digest(frozen_by);
+    grow(built.ledger, population());
+    EXPECT_EQ(topology_digest(built.ledger), kGrownOriginalTopology);
+    EXPECT_EQ(topology_digest(frozen_by), clone_before);
 }
 
 TEST_F(LedgerCloneTest, BalanceChangesStayPrivate) {

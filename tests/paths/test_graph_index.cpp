@@ -1,6 +1,8 @@
 // GraphIndex — the currency-partitioned CSR adjacency: build shape,
-// lines_of() order parity, lazy generation-driven rebuild, and the
-// live-capacity contract (balance mutations never invalidate).
+// lines_of() order parity, lazy generation-driven refresh, the
+// live-capacity contract (balance mutations never invalidate), and
+// SearchIndex's sharing: one build per topology and order across
+// clones, a grown clone's lines as tail edges.
 #include "paths/graph_index.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,10 @@
 
 #include "datagen/config.hpp"
 #include "datagen/history.hpp"
+#include "exec/parallel.hpp"
+#include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
+#include "paths/path_finder.hpp"
 #include "paths/trust_graph.hpp"
 
 namespace xrpl::paths {
@@ -206,7 +212,7 @@ TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
     // thousands of lines. The index must match lines_of() on it, on a
     // clone (whose adjacency clone() refills from the lines' recorded
     // indices), and on the clone after an account and a line in a
-    // currency that had none force a rebuild with a new partition.
+    // currency that had none (its tail) give a build a new partition.
     datagen::GeneratorConfig config;
     config.seed = 20130101;
     config.num_users = 500;
@@ -225,7 +231,7 @@ TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
 
     LedgerState copy = snapshot.ledger.clone();
     GraphIndex copy_index;
-    ASSERT_TRUE(copy_index.ensure(copy));
+    copy_index.build(copy);
     {
         SCOPED_TRACE("clone");
         expect_partitions_match_lines_of(copy, copy_index);
@@ -238,13 +244,156 @@ TEST_F(GraphIndexTest, EveryPartitionMatchesLinesOfOnAGeneratedPopulation) {
     copy.set_trust(newcomer, copy.account_by_index(0), fresh,
                    IouAmount::from_double(100.0));
     const std::size_t partitions_before = copy_index.partition_count();
-    ASSERT_TRUE(copy_index.ensure(copy));
+    copy_index.build(copy);
     EXPECT_EQ(copy_index.partition_count(), partitions_before + 1);
     ASSERT_NE(copy_index.partition(fresh), nullptr);
     {
         SCOPED_TRACE("clone after a new currency");
         expect_partitions_match_lines_of(copy, copy_index);
     }
+}
+
+/// LedgerCloneTest's population: 300 users, 8 gateways, seed 20130101.
+datagen::PopulationSnapshot clone_test_population() {
+    datagen::GeneratorConfig config;
+    config.seed = 20130101;
+    config.num_users = 300;
+    config.num_gateways = 8;
+    config.num_market_makers = 10;
+    config.num_merchants = 40;
+    config.num_hubs = 4;
+    return datagen::generate_population_only(config);
+}
+
+/// `node`'s edges in `currency` as the searches of `graph` walk them.
+std::vector<GraphIndex::Edge> searched_edges(const TrustGraph& graph,
+                                             Currency currency, std::uint32_t node) {
+    const SearchIndex::EdgeSpans spans =
+        graph.index().partition(currency).edges_of(node);
+    std::vector<GraphIndex::Edge> edges(spans.shared.begin(), spans.shared.end());
+    edges.insert(edges.end(), spans.tail.begin(), spans.tail.end());
+    return edges;
+}
+
+/// The index `graph` searches equals a fresh build of its ledger:
+/// partition by partition and account by account, record for record.
+void expect_searched_index_is_a_fresh_build(const TrustGraph& graph) {
+    const LedgerState& ledger = graph.ledger();
+    GraphIndex fresh;
+    fresh.build(ledger);
+    ASSERT_EQ(fresh.edge_count(), 2 * ledger.trustline_count());
+    ASSERT_EQ(fresh.partition_count(), ledger.currency_count());
+    std::size_t compared = 0;
+    for (std::uint32_t c = 0; c < ledger.currency_count(); ++c) {
+        const Currency currency = ledger.currency_by_index(c);
+        const GraphIndex::Partition* part = fresh.partition(currency);
+        ASSERT_NE(part, nullptr) << currency.to_string();
+        for (std::uint32_t i = 0; i < ledger.account_count(); ++i) {
+            const auto want = part->edges_of(i);
+            const std::vector<GraphIndex::Edge> got =
+                searched_edges(graph, currency, i);
+            ASSERT_EQ(got.size(), want.size())
+                << currency.to_string() << " node " << i;
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(got[k].peer, want[k].peer);
+                EXPECT_EQ(got[k].line, want[k].line);
+                EXPECT_EQ(got[k].node_is_low, want[k].node_is_low);
+                EXPECT_EQ(got[k].peer_ripples, want[k].peer_ripples);
+            }
+            compared += got.size();
+        }
+    }
+    EXPECT_EQ(compared, fresh.edge_count());
+}
+
+TEST_F(GraphIndexTest, GrownCloneSearchesWhatAFreshBuildGives) {
+    // A clone searched before and after it grows: a new account, a line
+    // in an existing currency, and a line in a currency no line used.
+    // A sibling clone of the same snapshot searches alongside.
+    const datagen::PopulationSnapshot snapshot = clone_test_population();
+    LedgerState grown = snapshot.ledger.clone();
+    const LedgerState sibling = snapshot.ledger.clone();
+    const TrustGraph graph(grown, /*use_index=*/true);
+    const TrustGraph sibling_graph(sibling, /*use_index=*/true);
+    {
+        SCOPED_TRACE("before");
+        expect_searched_index_is_a_fresh_build(graph);
+    }
+
+    const AccountID newcomer = AccountID::from_seed("graph-index:grown");
+    ASSERT_TRUE(grown.create_account(newcomer, ledger::XrpAmount::from_xrp(10.0),
+                                     false, /*allows_rippling=*/true));
+    const AccountID& gateway = snapshot.population.gateways.front();
+    const Currency held = snapshot.population.gateway_currencies.front().front();
+    grown.set_trust(newcomer, gateway, held, IouAmount::from_double(100.0));
+    const Currency fresh = Currency::from_code("ZZZ");
+    ASSERT_FALSE(grown.currency_index(fresh).has_value());
+    grown.set_trust(newcomer, snapshot.population.hubs.front(), fresh,
+                    IouAmount::from_double(10.0));
+    {
+        SCOPED_TRACE("grown");
+        expect_searched_index_is_a_fresh_build(graph);
+    }
+    {
+        SCOPED_TRACE("sibling");
+        expect_searched_index_is_a_fresh_build(sibling_graph);
+    }
+}
+
+TEST_F(GraphIndexTest, ClonesOfOneLedgerShareOneBuild) {
+    // Eight clones of one const ledger, each searched on a pool worker:
+    // the first search builds the index of the snapshot's topology in
+    // the clones' order, the others use it, and all find the same paths.
+    const datagen::PopulationSnapshot snapshot = clone_test_population();
+    const datagen::Population& population = snapshot.population;
+    struct Query {
+        AccountID from;
+        AccountID to;
+        Currency currency;
+    };
+    std::vector<Query> queries;
+    for (std::size_t i = 0; i < population.users.size() && queries.size() < 24;
+         i += 7) {
+        const AccountID& user = population.users[i];
+        for (const ledger::TrustLine* line : snapshot.ledger.lines_of(user)) {
+            const AccountID& merchant =
+                population.merchants[queries.size() % population.merchants.size()];
+            queries.push_back(Query{user, merchant, line->key().currency});
+            break;
+        }
+    }
+    ASSERT_GE(queries.size(), 8u);
+
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::Counter& builds = obs::counter("paths.index.builds");
+    const std::uint64_t before = builds.value();
+    constexpr std::size_t kClones = 8;
+    std::vector<std::vector<std::vector<AccountID>>> found(kClones);
+    {
+        const exec::ScopedParallelism width(4);
+        exec::parallel_for(kClones, 1, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t c = begin; c < end; ++c) {
+                const LedgerState copy = snapshot.ledger.clone();
+                const TrustGraph graph(copy, /*use_index=*/true);
+                PathFinder finder;
+                for (const Query& query : queries) {
+                    const auto path =
+                        finder.find(graph, query.from, query.to, query.currency);
+                    found[c].push_back(path ? path->nodes
+                                            : std::vector<AccountID>{});
+                }
+            }
+        });
+    }
+    const std::uint64_t added = builds.value() - before;
+    obs::set_enabled(was_enabled);
+
+    EXPECT_EQ(added, 1u);
+    std::size_t paths_found = 0;
+    for (const auto& nodes : found.front()) paths_found += nodes.empty() ? 0 : 1;
+    EXPECT_GT(paths_found, 0u);
+    for (std::size_t c = 1; c < kClones; ++c) EXPECT_EQ(found[c], found.front());
 }
 
 TEST_F(GraphIndexTest, RipplingFlagCachedPerEdge) {
@@ -268,7 +417,7 @@ TEST_F(GraphIndexTest, EnsureIsLazyUntilTopologyMoves) {
     const AccountID b = add("b");
     ledger::TrustLine& line = edge(a, b, kUsd, 50.0);
 
-    GraphIndex index;
+    SearchIndex index;
     index.ensure(state_);
     ASSERT_TRUE(index.built());
     const std::uint64_t gen = index.built_generation();
@@ -314,20 +463,37 @@ TEST_F(GraphIndexTest, CapacityReadLiveThroughStoredLineIndex) {
     EXPECT_NEAR(capacity(), 40.0, 1e-9);
 }
 
-TEST_F(GraphIndexTest, CloneRebuildsItsOwnIndex) {
-    // A TrustGraph over a clone must not serve spans built against the
-    // original's account indexing; the clone carries the generation,
-    // and each graph owns its own index instance.
+TEST_F(GraphIndexTest, ClonesShareTheIndexOfTheirTopologyOrder) {
+    // Graphs over two clones search one shared index, also after one
+    // clone grows (its new line is a tail edge of its own); the
+    // original lists its lines in creation order, another order, so it
+    // has an index of its own.
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, kUsd, 10.0);
-    const LedgerState copy = state_.clone();
+    LedgerState copy = state_.clone();
+    const LedgerState twin = state_.clone();
     EXPECT_EQ(copy.topology_generation(), state_.topology_generation());
 
     const TrustGraph graph(copy, /*use_index=*/true);
-    const GraphIndex& index = graph.index();
-    EXPECT_TRUE(index.built());
-    EXPECT_EQ(index.edge_count(), 2u);
+    const TrustGraph twin_graph(twin, /*use_index=*/true);
+    const TrustGraph original_graph(state_, /*use_index=*/true);
+    const GraphIndex& shared = graph.index().shared();
+    EXPECT_EQ(&twin_graph.index().shared(), &shared);
+    EXPECT_NE(&original_graph.index().shared(), &shared);
+    EXPECT_EQ(graph.index().edge_count(), 2u);
+
+    const AccountID c = AccountID::from_seed("c");
+    ASSERT_TRUE(copy.create_account(c, ledger::XrpAmount::from_xrp(10.0)));
+    copy.set_trust(c, b, kUsd, IouAmount::from_double(5.0));
+    EXPECT_EQ(&graph.index().shared(), &shared);
+    EXPECT_EQ(graph.index().edge_count(), 4u);
+    EXPECT_EQ(twin_graph.index().edge_count(), 2u);
+    const SearchIndex::EdgeSpans from_b =
+        graph.index().partition(kUsd).edges_of(copy.account(b)->index);
+    EXPECT_EQ(from_b.shared.size(), 1u);
+    ASSERT_EQ(from_b.tail.size(), 1u);
+    EXPECT_EQ(from_b.tail[0].peer, copy.account(c)->index);
 }
 
 TEST_F(GraphIndexTest, ExclusionStampsAreEpochScoped) {

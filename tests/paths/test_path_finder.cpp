@@ -263,6 +263,35 @@ TEST_P(PathFinderTest, ExclusionBeforeCreationHolds) {
     EXPECT_EQ(path->nodes, (std::vector<AccountID>{a, x, b}));
 }
 
+TEST_P(PathFinderTest, ExclusionBeforeCreationHoldsOnAClone) {
+    // The same on a clone, whose new account and lines sit on top of the
+    // topology it shares with the original: the excluded account's index
+    // comes into being after the clone's first search.
+    const AccountID a = add("a");
+    const AccountID b = add("b");
+    LedgerState copy = state_.clone();
+    const AccountID x = AccountID::from_seed("x");
+    TrustGraph searched(copy, GetParam());
+    TrustGraph fresh(copy, GetParam());
+    searched.exclude(x);
+    fresh.exclude(x);
+    EXPECT_FALSE(finder_.find(searched, a, b, kUsd).has_value());
+
+    ASSERT_TRUE(
+        copy.create_account(x, ledger::XrpAmount::from_xrp(10.0), false, true));
+    copy.set_trust(x, a, kUsd, IouAmount::from_double(10.0));
+    copy.set_trust(b, x, kUsd, IouAmount::from_double(10.0));
+    EXPECT_FALSE(finder_.find(searched, a, b, kUsd).has_value());
+    EXPECT_FALSE(finder_.find(fresh, a, b, kUsd).has_value());
+
+    searched.clear_exclusions();
+    const auto path = finder_.find(searched, a, b, kUsd);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->nodes, (std::vector<AccountID>{a, x, b}));
+    // The original never saw x.
+    EXPECT_EQ(state_.account(x), nullptr);
+}
+
 TEST_P(PathFinderTest, CapacityReadsDoNotGrowWithNonRipplingHolders) {
     // A gateway whose holders block rippling: searching from one
     // holder to a merchant expands the gateway, but DefaultRipple rules

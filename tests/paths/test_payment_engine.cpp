@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace xrpl::paths {
 namespace {
@@ -391,6 +393,45 @@ TEST_F(PaymentEngineTest, ExplicitPathsExecuteMtlShape) {
     EXPECT_EQ(result.parallel_paths, 6u);
     EXPECT_EQ(result.intermediate_hops, 8u);
     EXPECT_EQ(result.intermediaries.size(), 48u);
+}
+
+TEST_F(PaymentEngineTest, FoundPathKeepsItsLinesAcrossATopologyChange) {
+    // A path found before an account and a line are created (on a
+    // clone, so they sit in its tail) still names, by line index, the
+    // lines a payment over that route moves: nothing renumbers lines.
+    const AccountID user = add("user");
+    const AccountID gateway = add("gateway");
+    const AccountID merchant = add("merchant");
+    fund(gateway, user, kUsd, 100.0);
+    edge(gateway, merchant, kUsd, 1000.0);
+    LedgerState copy = state_.clone();
+    PaymentEngine engine(copy);
+    PathFinder finder;
+    const auto path = finder.find(engine.graph(), user, merchant, kUsd);
+    ASSERT_TRUE(path.has_value());
+    ASSERT_EQ(path->lines.size(), 2u);
+
+    const AccountID late = AccountID::from_seed("late");
+    ASSERT_TRUE(copy.create_account(late, XrpAmount::from_xrp(10.0)));
+    copy.set_trust(late, gateway, kUsd, IouAmount::from_double(50.0));
+    for (std::size_t k = 0; k < path->lines.size(); ++k) {
+        EXPECT_EQ(copy.lines()[path->lines[k]].key(),
+                  ledger::TrustLineKey::make(path->nodes[k], path->nodes[k + 1],
+                                             kUsd));
+    }
+
+    std::vector<IouAmount> before;
+    for (const ledger::TrustLine& line : copy.lines()) {
+        before.push_back(line.balance());
+    }
+    ASSERT_TRUE(engine.execute(request(user, merchant, kUsd, 30.0)).success);
+    std::vector<std::uint32_t> moved;
+    for (std::uint32_t i = 0; i < before.size(); ++i) {
+        if (!(copy.lines()[i].balance() == before[i])) moved.push_back(i);
+    }
+    std::vector<std::uint32_t> expected = path->lines;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(moved, expected);
 }
 
 TEST_F(PaymentEngineTest, ExplicitPathsRollBackOnBrokenChain) {
