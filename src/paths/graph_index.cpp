@@ -59,10 +59,10 @@ void GraphIndex::build(const ledger::LedgerState& ledger,
 
     // Walk 2 — fill every partition at once. offsets[i] is row i's
     // write cursor, so a node's edges land in lines_of() order (the
-    // legacy scan's enumeration order, which is what makes the two
-    // engines return identical paths when ties exist). The walk
-    // leaves offsets[i] at row i's end, which is row i + 1's start;
-    // shifting the pointers one slot right restores them.
+    // order the searches break ties by, which the pinned paths depend
+    // on). The walk leaves offsets[i] at row i's end, which is row
+    // i + 1's start; shifting the pointers one slot right restores
+    // them.
     for (std::uint32_t i = 0; i < size.accounts; ++i) {
         for (const std::uint32_t line : ledger.lines_by_index(i).indices()) {
             if (line >= size.lines) continue;

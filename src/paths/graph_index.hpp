@@ -2,14 +2,13 @@
 // the path subsystem's answer to the columnar refactors every scan
 // layer already had (DESIGN.md §16).
 //
-// The legacy TrustGraph answers a neighbor query by scanning
-// lines_of(account) — ALL currencies mixed — filtering by currency,
-// hashing AccountIDs, and re-looking-up AccountRoot per visit. This
-// index holds, for each currency, a compressed-sparse-row table of
-// (peer index, line index, direction bit, cached rippling flag) keyed
-// by the ledger's dense account index, so the bidirectional-BFS inner
-// loop becomes a flat span walk over uint32 indices with zero hashing
-// and zero account() lookups.
+// Answering a neighbor query from lines_of(account) would walk ALL
+// currencies mixed, filter by currency, hash AccountIDs and look up
+// each peer's AccountRoot on every visit. This index holds, for each
+// currency, a compressed-sparse-row table of (peer index, line index,
+// direction bit, cached rippling flag) keyed by the ledger's dense
+// account index, so the search loops walk flat spans of uint32
+// indices with zero hashing and zero account() lookups.
 //
 // The index is pure topology: the build reads only the ledger's
 // adjacency lists of line indices, its flat line-endpoint array and
@@ -56,8 +55,8 @@ public:
     /// node i in this currency, and the DIRECTION decides which end's
     /// capacity to read — from node i: directed_capacity(node_is_low);
     /// towards node i: directed_capacity(!node_is_low). Per-node edge
-    /// order equals lines_of(account) insertion order, so both engines
-    /// enumerate neighbors identically.
+    /// order equals lines_of(account) order, which is the order the
+    /// searches break ties by (the pinned paths depend on it).
     struct Partition {
         ledger::Currency currency;
         std::vector<std::uint32_t> offsets;  // account_count + 1 row pointers

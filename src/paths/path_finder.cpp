@@ -28,55 +28,19 @@ IouAmount path_capacity(const LedgerState& ledger,
     return best;
 }
 
-/// Legacy engine: enumerate via the lines_of() scan, resolving each
-/// peer's dense index and rippling flag through account() lookups.
-struct ScanExpander {
-    const TrustGraph& graph;
-    ledger::Currency currency;
-
-    /// The index of a line lines_of() listed (a pointer into the store).
-    [[nodiscard]] std::uint32_t index_of(const ledger::TrustLine* line) const noexcept {
-        return static_cast<std::uint32_t>(line - graph.ledger().lines().data());
-    }
-
-    template <typename Visit>
-    void out(std::uint32_t node_index, Visit&& visit) const {
-        const LedgerState& ledger = graph.ledger();
-        graph.for_each_neighbor(
-            ledger.account_by_index(node_index), currency,
-            [&](const AccountID& peer, const ledger::TrustLine* line) {
-                const ledger::AccountRoot* root = ledger.account(peer);
-                if (root == nullptr) return;
-                visit(root->index, root->allows_rippling, index_of(line));
-            });
-    }
-
-    template <typename Visit>
-    void in(std::uint32_t node_index, Visit&& visit) const {
-        const LedgerState& ledger = graph.ledger();
-        graph.for_each_in_neighbor(
-            ledger.account_by_index(node_index), currency,
-            [&](const AccountID& peer, const ledger::TrustLine* line) {
-                const ledger::AccountRoot* root = ledger.account(peer);
-                if (root == nullptr) return;
-                visit(root->index, root->allows_rippling, index_of(line));
-            });
-    }
-};
-
-/// Indexed engine: walk the currency partition's CSR spans, then the
-/// node's tail edges. No hashing, no account() lookups — peer index,
-/// line index, direction bit, and rippling flag are all in the 12-byte
-/// Edge record; only capacity is read live from the ledger's line
-/// store. An absent partition (no line in this currency) behaves as
-/// an empty graph so both engines walk the same trivial frontier.
+/// The search's neighbors: walk the currency partition's CSR spans,
+/// then the node's tail edges. No hashing, no account() lookups — peer
+/// index, line index, direction bit, and rippling flag are all in the
+/// 12-byte Edge record; only capacity is read live from the ledger's
+/// line store. An absent partition (no line in this currency) behaves
+/// as an empty graph.
 ///
 /// DefaultRipple comes first: an edge to a peer that blocks rippling
 /// and is neither endpoint is skipped before the exclusion probe and
-/// the capacity read, since run_search's visit would drop that peer
+/// the capacity read, since find()'s visit would drop that peer
 /// anyway. Every filter is a pure predicate, so the same peers reach
 /// visit in the same order as without the pre-filter.
-struct IndexedExpander {
+struct Expander {
     const TrustGraph& graph;
     SearchIndex::PartitionView part;
     const ledger::TrustLine* lines;  // the searched ledger's line store
@@ -95,36 +59,49 @@ struct IndexedExpander {
     }
 
     /// Out-edges read the capacity from node_index's end of the line,
-    /// in-edges from the peer's end.
+    /// in-edges from the peer's end. One loop body serves both spans,
+    /// as in WidestPathFinder's expander (which says why).
     template <typename Visit>
     void walk(std::uint32_t node_index, bool outward, Visit& visit) const {
         std::uint64_t reads = 0;
-        const auto step = [&](const GraphIndex::Edge& edge) {
-            if (!edge.peer_ripples && edge.peer != src_index &&
-                edge.peer != dst_index) {
-                return;
-            }
-            if (graph.is_excluded_index(edge.peer)) return;
-            ++reads;
-            const IouAmount cap =
-                lines[edge.line].directed_capacity(edge.node_is_low == outward);
-            if (cap.is_zero() || cap.is_negative()) return;
-            visit(edge.peer, edge.peer_ripples, edge.line);
-        };
         const SearchIndex::EdgeSpans spans = part.edges_of(node_index);
-        for (const GraphIndex::Edge& edge : spans.shared) step(edge);
-        for (const GraphIndex::Edge& edge : spans.tail) step(edge);
+        for (const std::span<const GraphIndex::Edge> edges : {spans.shared, spans.tail}) {
+            for (const GraphIndex::Edge& edge : edges) {
+                if (!edge.peer_ripples && edge.peer != src_index &&
+                    edge.peer != dst_index) {
+                    continue;
+                }
+                if (graph.is_excluded_index(edge.peer)) continue;
+                ++reads;
+                const IouAmount cap =
+                    lines[edge.line].directed_capacity(edge.node_is_low == outward);
+                if (cap.is_zero() || cap.is_negative()) continue;
+                visit(edge.peer, edge.peer_ripples, edge.line);
+            }
+        }
         capacity_reads += reads;
     }
 };
 
 }  // namespace
 
-template <typename Expander>
-std::optional<TrustPath> PathFinder::run_search(
-    const TrustGraph& graph, const Expander& expand, const AccountID& from,
-    const AccountID& to, std::uint32_t src_index, std::uint32_t dst_index) {
+std::optional<TrustPath> PathFinder::find(const TrustGraph& graph,
+                                          const AccountID& from,
+                                          const AccountID& to,
+                                          ledger::Currency currency) {
     const LedgerState& ledger = graph.ledger();
+    const ledger::AccountRoot* src = ledger.account(from);
+    const ledger::AccountRoot* dst = ledger.account(to);
+    if (src == nullptr || dst == nullptr) return std::nullopt;
+    if (graph.is_excluded(from) || graph.is_excluded(to)) return std::nullopt;
+
+    if (from == to) return std::nullopt;
+    const std::uint32_t src_index = src->index;
+    const std::uint32_t dst_index = dst->index;
+
+    std::uint64_t capacity_reads = 0;
+    const Expander expand{graph, graph.index().partition(currency),
+                          ledger.lines().data(), src_index, dst_index, capacity_reads};
 
     if (nodes_.size() < ledger.account_count()) {
         nodes_.resize(ledger.account_count());
@@ -212,10 +189,12 @@ std::optional<TrustPath> PathFinder::run_search(
         }
     }
 
-    // One add per search with the whole BFS's node total, not one per
+    // One add per search with the whole BFS's totals, not one per
     // visit — find() is on the payment hot path.
     static obs::Counter& nodes_expanded = obs::counter("paths.nodes_expanded");
     nodes_expanded.add(visited);
+    static obs::Counter& capacity_read_counter = obs::counter("paths.capacity_reads");
+    capacity_read_counter.add(capacity_reads);
 
     if (!meeting) return std::nullopt;
 
@@ -271,33 +250,6 @@ std::optional<TrustPath> PathFinder::run_search(
     if (path.capacity.is_zero() || path.capacity.is_negative()) return std::nullopt;
     path.lines = std::move(lines);
     return path;
-}
-
-std::optional<TrustPath> PathFinder::find(const TrustGraph& graph,
-                                          const AccountID& from,
-                                          const AccountID& to,
-                                          ledger::Currency currency) {
-    const LedgerState& ledger = graph.ledger();
-    const ledger::AccountRoot* src = ledger.account(from);
-    const ledger::AccountRoot* dst = ledger.account(to);
-    if (src == nullptr || dst == nullptr) return std::nullopt;
-    if (graph.is_excluded(from) || graph.is_excluded(to)) return std::nullopt;
-
-    if (from == to) return std::nullopt;
-
-    if (graph.uses_index()) {
-        std::uint64_t capacity_reads = 0;
-        const IndexedExpander expand{graph, graph.index().partition(currency),
-                                     ledger.lines().data(), src->index, dst->index,
-                                     capacity_reads};
-        auto path = run_search(graph, expand, from, to, src->index, dst->index);
-        // One add per search, like paths.nodes_expanded.
-        static obs::Counter& reads = obs::counter("paths.capacity_reads");
-        reads.add(capacity_reads);
-        return path;
-    }
-    const ScanExpander expand{graph, currency};
-    return run_search(graph, expand, from, to, src->index, dst->index);
 }
 
 }  // namespace xrpl::paths

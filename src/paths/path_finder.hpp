@@ -7,11 +7,9 @@
 // engine calls this repeatedly — executing each found path — to build
 // the parallel-path splits of Fig 6(b).
 //
-// The BFS core is one template, instantiated over two neighbor
-// expanders: the CSR GraphIndex (flat index-space spans, the default)
-// and the legacy lines_of() scan. Both enumerate neighbors in the
-// same order, so they return identical paths — the expander is the
-// ONLY thing that differs between the engines.
+// Neighbors come from the TrustGraph's CSR index (flat index-space
+// spans), which lists each node's edges in lines_of() order; ties
+// between equally short paths break by that order.
 #pragma once
 
 #include <optional>
@@ -53,8 +51,7 @@ public:
     explicit PathFinder(PathFinderConfig config = {}) noexcept : config_(config) {}
 
     /// Shortest positive-capacity path from `from` to `to` in
-    /// `currency`, or nullopt. `graph` exclusions are honored; the
-    /// engine (CSR index vs legacy scan) follows graph.uses_index().
+    /// `currency`, or nullopt. `graph` exclusions are honored.
     [[nodiscard]] std::optional<TrustPath> find(const TrustGraph& graph,
                                                 const ledger::AccountID& from,
                                                 const ledger::AccountID& to,
@@ -63,21 +60,6 @@ public:
     [[nodiscard]] const PathFinderConfig& config() const noexcept { return config_; }
 
 private:
-    /// The engine-agnostic bidirectional BFS. `expand.out(i, visit)` /
-    /// `expand.in(i, visit)` call visit(peer_index, peer_ripples,
-    /// line_index) for every positive-capacity, non-excluded neighbor
-    /// of dense account index i; an expander may leave out a
-    /// non-rippling neighbor that is neither endpoint, which visit
-    /// rejects anyway. Defined in path_finder.cpp; instantiated there
-    /// for the two expanders.
-    template <typename Expander>
-    std::optional<TrustPath> run_search(const TrustGraph& graph,
-                                        const Expander& expand,
-                                        const ledger::AccountID& from,
-                                        const ledger::AccountID& to,
-                                        std::uint32_t src_index,
-                                        std::uint32_t dst_index);
-
     PathFinderConfig config_;
 
     // Scratch state, keyed by the ledger's dense account index.

@@ -426,9 +426,14 @@ TxResult PaymentEngine::apply(const Transaction& tx) {
             break;
         }
         case ledger::TxType::kTrustSet: {
-            // A trust line joins two distinct existing accounts.
+            // A trust line joins two distinct existing accounts and
+            // carries an IOU up to a limit that is not negative, as on
+            // the real ledger: a negative limit would put the line past
+            // its limit from the start, and XRP is no trust-line
+            // currency.
             if (tx.sender == tx.trust_peer || !ledger_->account(tx.sender) ||
-                !ledger_->account(tx.trust_peer)) {
+                !ledger_->account(tx.trust_peer) || tx.trust_limit.is_negative() ||
+                tx.trust_currency.is_xrp()) {
                 break;
             }
             ledger_->set_trust(tx.sender, tx.trust_peer, tx.trust_currency,

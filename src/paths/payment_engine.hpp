@@ -58,10 +58,6 @@ struct EngineConfig {
     bool allow_xrp_bridge = true;
     /// Flat fee burned per transaction, in drops.
     ledger::XrpAmount fee{10};
-    /// Answer neighbor queries through the CSR GraphIndex (default,
-    /// the XRPL_PATH_INDEX option) or the legacy lines_of() scan.
-    /// Both engines return identical paths and ReplayStats.
-    bool use_path_index = util::options().path_index;
 };
 
 /// Executes payments against a LedgerState.
@@ -69,7 +65,7 @@ class PaymentEngine {
 public:
     explicit PaymentEngine(ledger::LedgerState& ledger, EngineConfig config = {})
         : ledger_(&ledger),
-          graph_(ledger, config.use_path_index),
+          graph_(ledger),
           finder_(config.path),
           widest_finder_(config.path),
           config_(config) {}
@@ -79,7 +75,9 @@ public:
     /// charged on success).
     ledger::TxResult execute(const PaymentRequest& request);
 
-    /// Convenience: run a Payment/AccountCreate transaction.
+    /// Run a Payment, AccountCreate, TrustSet or OfferCreate
+    /// transaction. A malformed one fails and leaves the ledger as it
+    /// was.
     ledger::TxResult apply(const ledger::Transaction& tx);
 
     /// Execute a same-currency payment along caller-supplied explicit

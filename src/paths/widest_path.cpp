@@ -24,34 +24,16 @@ struct QueueEntry {
     }
 };
 
-/// Legacy engine: lines_of() scan with per-visit account() lookups.
-/// Capacity is re-read from the line (same value the scan's own
-/// positive-capacity filter computed).
-struct ScanExpander {
-    const TrustGraph& graph;
-    ledger::Currency currency;
-
-    template <typename Visit>
-    void out(std::uint32_t node_index, Visit&& visit) const {
-        const LedgerState& ledger = graph.ledger();
-        const AccountID& node = ledger.account_by_index(node_index);
-        graph.for_each_neighbor(
-            node, currency,
-            [&](const AccountID& peer, const ledger::TrustLine* line) {
-                const ledger::AccountRoot* root = ledger.account(peer);
-                if (root == nullptr) return;
-                visit(root->index, root->allows_rippling, line->capacity_from(node),
-                      static_cast<std::uint32_t>(line - ledger.lines().data()));
-            });
-    }
-};
-
-/// Indexed engine: flat CSR span walk, then the node's tail edges;
-/// capacity read live from the ledger's line store at the edge's line
-/// index, direction resolved by the edge's bit. An edge to a
-/// non-rippling peer other than the destination is skipped before the
-/// capacity read: run_search would drop it (DefaultRipple).
-struct IndexedExpander {
+/// The search's out-neighbors: a flat CSR span walk, then the node's
+/// tail edges; capacity read live from the ledger's line store at the
+/// edge's line index, direction resolved by the edge's bit. An edge to
+/// a non-rippling peer other than the destination is skipped before
+/// the capacity read: find()'s relaxation would drop it (DefaultRipple).
+///
+/// One loop body serves both spans: GCC 12 left a per-edge lambda
+/// called from two loops out of line here (max-inline-insns-single),
+/// which doubled BM_PathFinder_Widest.
+struct Expander {
     const TrustGraph& graph;
     SearchIndex::PartitionView part;
     const ledger::TrustLine* lines;  // the searched ledger's line store
@@ -59,26 +41,35 @@ struct IndexedExpander {
 
     template <typename Visit>
     void out(std::uint32_t node_index, Visit&& visit) const {
-        const auto step = [&](const GraphIndex::Edge& edge) {
-            if (!edge.peer_ripples && edge.peer != dst_index) return;
-            if (graph.is_excluded_index(edge.peer)) return;
-            const IouAmount cap = lines[edge.line].directed_capacity(edge.node_is_low);
-            if (cap.is_zero() || cap.is_negative()) return;
-            visit(edge.peer, edge.peer_ripples, cap, edge.line);
-        };
         const SearchIndex::EdgeSpans spans = part.edges_of(node_index);
-        for (const GraphIndex::Edge& edge : spans.shared) step(edge);
-        for (const GraphIndex::Edge& edge : spans.tail) step(edge);
+        for (const std::span<const GraphIndex::Edge> edges : {spans.shared, spans.tail}) {
+            for (const GraphIndex::Edge& edge : edges) {
+                if (!edge.peer_ripples && edge.peer != dst_index) continue;
+                if (graph.is_excluded_index(edge.peer)) continue;
+                const IouAmount cap = lines[edge.line].directed_capacity(edge.node_is_low);
+                if (cap.is_zero() || cap.is_negative()) continue;
+                visit(edge.peer, edge.peer_ripples, cap, edge.line);
+            }
+        }
     }
 };
 
 }  // namespace
 
-template <typename Expander>
-std::optional<TrustPath> WidestPathFinder::run_search(
-    const TrustGraph& graph, const Expander& expand, const AccountID& from,
-    const AccountID& to, std::uint32_t src_index, std::uint32_t dst_index) {
+std::optional<TrustPath> WidestPathFinder::find(const TrustGraph& graph,
+                                                const AccountID& from,
+                                                const AccountID& to,
+                                                ledger::Currency currency) {
     const LedgerState& ledger = graph.ledger();
+    const ledger::AccountRoot* src = ledger.account(from);
+    const ledger::AccountRoot* dst = ledger.account(to);
+    if (src == nullptr || dst == nullptr || from == to) return std::nullopt;
+    if (graph.is_excluded(from) || graph.is_excluded(to)) return std::nullopt;
+    const std::uint32_t src_index = src->index;
+    const std::uint32_t dst_index = dst->index;
+
+    const Expander expand{graph, graph.index().partition(currency),
+                          ledger.lines().data(), dst_index};
 
     if (labels_.size() < ledger.account_count()) {
         labels_.resize(ledger.account_count());
@@ -119,7 +110,7 @@ std::optional<TrustPath> WidestPathFinder::run_search(
         expand.out(top.index, [&](std::uint32_t peer_index, bool peer_ripples,
                                   IouAmount edge, std::uint32_t line) {
             if (!peer_ripples && peer_index != dst_index) return;
-            // The expanders filter non-positive capacities; a negative
+            // The expander filters non-positive capacities; a negative
             // edge here means the filter and this relaxation disagree
             // about direction.
             XRPL_ASSERT(!edge.is_negative(),
@@ -161,25 +152,6 @@ std::optional<TrustPath> WidestPathFinder::run_search(
     XRPL_INVARIANT(!path.capacity.is_zero() && !path.capacity.is_negative(),
                    "widest-path bottleneck capacity must be positive");
     return path;
-}
-
-std::optional<TrustPath> WidestPathFinder::find(const TrustGraph& graph,
-                                                const AccountID& from,
-                                                const AccountID& to,
-                                                ledger::Currency currency) {
-    const LedgerState& ledger = graph.ledger();
-    const ledger::AccountRoot* src = ledger.account(from);
-    const ledger::AccountRoot* dst = ledger.account(to);
-    if (src == nullptr || dst == nullptr || from == to) return std::nullopt;
-    if (graph.is_excluded(from) || graph.is_excluded(to)) return std::nullopt;
-
-    if (graph.uses_index()) {
-        const IndexedExpander expand{graph, graph.index().partition(currency),
-                                     ledger.lines().data(), dst->index};
-        return run_search(graph, expand, from, to, src->index, dst->index);
-    }
-    const ScanExpander expand{graph, currency};
-    return run_search(graph, expand, from, to, src->index, dst->index);
 }
 
 }  // namespace xrpl::paths

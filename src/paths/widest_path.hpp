@@ -7,10 +7,9 @@
 // paths at the cost of longer routes — the trade the
 // `micro_benchmarks` ablation and DESIGN.md §6 examine.
 //
-// Like PathFinder, the relaxation core is one template instantiated
-// over the CSR GraphIndex expander (default) and the legacy lines_of()
-// scan; labels live in an epoch-stamped flat scratch vector keyed by
-// dense account index (no per-call hash map).
+// Like PathFinder, it walks the TrustGraph's CSR index; labels live in
+// an epoch-stamped flat scratch vector keyed by dense account index
+// (no per-call hash map).
 #pragma once
 
 #include <optional>
@@ -36,19 +35,6 @@ public:
     [[nodiscard]] const PathFinderConfig& config() const noexcept { return config_; }
 
 private:
-    /// Engine-agnostic max-bottleneck Dijkstra. `expand.out(i, visit)`
-    /// calls visit(peer_index, peer_ripples, capacity, line_index) for
-    /// every positive-capacity, non-excluded out-neighbor of dense
-    /// index i.
-    /// Defined in widest_path.cpp; instantiated for the two expanders.
-    template <typename Expander>
-    std::optional<TrustPath> run_search(const TrustGraph& graph,
-                                        const Expander& expand,
-                                        const ledger::AccountID& from,
-                                        const ledger::AccountID& to,
-                                        std::uint32_t src_index,
-                                        std::uint32_t dst_index);
-
     PathFinderConfig config_;
 
     // Scratch labels, keyed by dense account index; `epoch` marks

@@ -1,6 +1,12 @@
 #include "util/options.hpp"
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <iostream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "util/env.hpp"
@@ -24,9 +30,6 @@ constexpr OptionInfo kOptionTable[] = {
      "percent of the full 252 K-round fortnight per Fig 2 period"},
     {"XRPL_BENCH_REPLAY_PAYMENTS", "u64", "40000",
      "Table II replay stream size (paper: 1.7 M)"},
-    {"XRPL_BENCH_REPLAY_ACCOUNTS", "u64", "20000",
-     "`ext_replay_scaling` population size (user accounts; the "
-     "index-vs-scan acceptance run uses 100000)"},
     {"XRPL_BENCH_DATAGEN_PAYMENTS", "u64", "100000",
      "history size for the `ext_datagen_scaling` thread sweep"},
     {"XRPL_BENCH_JSON_DIR", "string", ".",
@@ -35,16 +38,30 @@ constexpr OptionInfo kOptionTable[] = {
      "root of the content-addressed `.xcol` dataset cache (`src/snap/`); "
      "when set, generated histories are saved once and re-runs load the "
      "snapshot instead of regenerating (bit-identical either way)"},
-    {"XRPL_PATH_INDEX", "flag", "1",
-     "path/replay neighbor queries via the currency-partitioned CSR "
-     "`GraphIndex` (`src/paths/graph_index.*`); `0` falls back to the "
-     "legacy `lines_of()` scan; paths and `ReplayStats` are byte-identical "
-     "either way"},
 };
 
 std::size_t default_threads() {
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware == 0 ? 1 : hardware;
+}
+
+/// Warn on stderr about every XRPL_* environment variable that
+/// kOptionTable does not list, so a misspelt or retired knob is
+/// reported instead of silently doing nothing.
+void warn_unknown_variables() {
+    for (char** entry = environ; *entry != nullptr; ++entry) {
+        const std::string_view variable(*entry);
+        if (!variable.starts_with("XRPL_")) continue;
+        const std::string_view name = variable.substr(0, variable.find('='));
+        const bool listed =
+            std::any_of(std::begin(kOptionTable), std::end(kOptionTable),
+                        [&](const OptionInfo& row) { return name == row.name; });
+        if (!listed) {
+            std::cerr << "warning: ignoring unknown " << name
+                      << " (not an option; a bench binary's --options lists "
+                         "them)\n";
+        }
+    }
 }
 
 }  // namespace
@@ -60,13 +77,11 @@ Options Options::from_env() {
         env_u64("XRPL_BENCH_CONSENSUS_SCALE", opts.bench_consensus_scale);
     opts.bench_replay_payments =
         env_u64("XRPL_BENCH_REPLAY_PAYMENTS", opts.bench_replay_payments);
-    opts.bench_replay_accounts =
-        env_u64("XRPL_BENCH_REPLAY_ACCOUNTS", opts.bench_replay_accounts);
     opts.bench_datagen_payments =
         env_u64("XRPL_BENCH_DATAGEN_PAYMENTS", opts.bench_datagen_payments);
     opts.bench_json_dir = env_string("XRPL_BENCH_JSON_DIR", opts.bench_json_dir);
     opts.dataset_dir = env_string("XRPL_DATASET_DIR", opts.dataset_dir);
-    opts.path_index = env_flag("XRPL_PATH_INDEX", opts.path_index);
+    warn_unknown_variables();
     return opts;
 }
 

@@ -35,9 +35,6 @@ struct Options {
     std::uint64_t bench_consensus_scale = 10;
     /// XRPL_BENCH_REPLAY_PAYMENTS — Table II replay stream size.
     std::uint64_t bench_replay_payments = 40'000;
-    /// XRPL_BENCH_REPLAY_ACCOUNTS — ext_replay_scaling population
-    /// size (user count; total accounts land slightly above).
-    std::uint64_t bench_replay_accounts = 20'000;
     /// XRPL_BENCH_DATAGEN_PAYMENTS — ext_datagen_scaling history size.
     std::uint64_t bench_datagen_payments = 100'000;
     /// XRPL_BENCH_JSON_DIR — directory the harness writes
@@ -49,14 +46,14 @@ struct Options {
     /// histories are regenerated every run and no disk is touched.
     std::string dataset_dir;
 
-    /// XRPL_PATH_INDEX — answer path-finder neighbor queries through
-    /// the currency-partitioned CSR GraphIndex (1, the default) or the
-    /// legacy per-visit lines_of() scan (0). Paths and ReplayStats are
-    /// byte-identical either way; only speed differs.
-    bool path_index = true;
+    /// Not an option: path searches always walk the CSR index. The
+    /// constant exists only because perfbench's provenance line
+    /// records it (as XRPL_PATH_INDEX).
+    static constexpr bool path_index = true;
 
     /// Parse the environment now (strict; malformed values warn and
-    /// fall back). Pure read — no caching.
+    /// fall back; an XRPL_* variable kOptionTable does not list warns
+    /// too). Pure read — no caching.
     [[nodiscard]] static Options from_env();
 };
 

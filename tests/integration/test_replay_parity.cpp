@@ -1,25 +1,28 @@
-// Engine parity: the CSR GraphIndex engine and the legacy lines_of()
-// scan must be indistinguishable in OUTPUT — identical paths (ties
-// included), identical ReplayStats on the Table II workload, and the
-// same paths.nodes_expanded totals — on a generated history big
-// enough to exercise gateways, hubs, makers, and spam chains. The
-// golden test additionally pins the Table II numbers at a fixed
-// seed/config so a behaviour change in either engine (or in the
-// generator) shows up as a concrete diff, not a silent drift.
+// Golden values of the trust-path search on a generated history big
+// enough to exercise gateways, hubs, makers, and spam chains: the
+// paths BFS and widest-path search find for sampled (user, merchant)
+// pairs, ties included, the paths.nodes_expanded totals of the Table II
+// replays, and the Table II numbers themselves, all at a fixed
+// seed/config, so a behaviour change in the finders, the CSR index
+// (whose per-node order follows lines_of()) or the generator shows up
+// as a concrete diff, not a silent drift.
 //
 // Runs in tier-1 at XRPL_THREADS=1 and 8 (tools/tier1.sh): nothing
 // here may depend on pool width.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "datagen/history.hpp"
 #include "obs/metrics.hpp"
-#include "paths/graph_index.hpp"
 #include "paths/replay.hpp"
 #include "paths/widest_path.hpp"
+#include "util/hex.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 
 namespace xrpl {
 namespace {
@@ -65,16 +68,14 @@ protected:
         ReplayStats stats;
         std::uint64_t nodes_expanded = 0;
     };
-    static MeasuredReplay run_replay(bool use_index, bool remove_makers) {
+    static MeasuredReplay run_replay(bool remove_makers) {
         const bool was_enabled = obs::enabled();
         obs::set_enabled(true);
         obs::Counter& expanded = obs::counter("paths.nodes_expanded");
         const std::uint64_t before = expanded.value();
 
         ledger::LedgerState world = history_->ledger.clone();
-        paths::EngineConfig config;
-        config.use_path_index = use_index;
-        PaymentEngine engine(world, config);
+        PaymentEngine engine(world);
         MeasuredReplay result;
         if (remove_makers) {
             result.stats = paths::replay_without(
@@ -87,13 +88,6 @@ protected:
         return result;
     }
 
-    static void expect_equal(const ReplayStats& a, const ReplayStats& b) {
-        EXPECT_EQ(a.cross_submitted, b.cross_submitted);
-        EXPECT_EQ(a.cross_delivered, b.cross_delivered);
-        EXPECT_EQ(a.single_submitted, b.single_submitted);
-        EXPECT_EQ(a.single_delivered, b.single_delivered);
-    }
-
     static datagen::GeneratedHistory* history_;
     static std::vector<paths::PaymentRequest>* workload_;
 };
@@ -101,77 +95,90 @@ protected:
 datagen::GeneratedHistory* ReplayParityTest::history_ = nullptr;
 std::vector<paths::PaymentRequest>* ReplayParityTest::workload_ = nullptr;
 
-TEST_F(ReplayParityTest, PathFindersAgreeOnSampledPairs) {
-    // Both BFS engines, every (user, merchant) pairing sampled across
-    // the population, in the merchant's home currency: identical paths
-    // node for node — tie-breaking included — or identical absence.
+TEST_F(ReplayParityTest, SampledPairPathsArePinned) {
+    // BFS and widest-path search for every (user, merchant) pairing
+    // sampled across the population, in the merchant's home currency.
+    // The digest covers each pair's two answers in order: absence, or
+    // every node, line and the capacity of the path found, so a change
+    // in tie-breaking moves it.
     const datagen::Population& pop = history_->population;
-    const paths::TrustGraph indexed(history_->ledger, /*use_index=*/true);
-    const paths::TrustGraph scan(history_->ledger, /*use_index=*/false);
-    paths::PathFinder find_indexed;
-    paths::PathFinder find_scan;
-    paths::WidestPathFinder widest_indexed;
-    paths::WidestPathFinder widest_scan;
+    const paths::TrustGraph graph(history_->ledger);
+    paths::PathFinder shortest;
+    paths::WidestPathFinder widest;
+
+    util::Sha256 hasher;
+    const auto put_path = [&](const std::optional<paths::TrustPath>& path) {
+        if (!path) {
+            hasher.update("-;");
+            return;
+        }
+        for (const ledger::AccountID& node : path->nodes) hasher.update(node.bytes);
+        for (const std::uint32_t line : path->lines) {
+            hasher.update(std::to_string(line) + ",");
+        }
+        hasher.update(std::to_string(path->capacity.mantissa()) + "e" +
+                      std::to_string(path->capacity.exponent()) + ";");
+    };
 
     std::size_t compared = 0;
-    std::size_t found = 0;
+    std::size_t shortest_found = 0;
+    std::size_t widest_found = 0;
+    std::size_t shortest_hops = 0;
+    std::size_t widest_hops = 0;
     for (std::size_t u = 0; u < pop.users.size(); u += 17) {
         for (std::size_t m = 0; m < pop.merchants.size(); m += 7) {
             const ledger::AccountID& from = pop.users[u];
             const ledger::AccountID& to = pop.merchants[m];
             const ledger::Currency currency = pop.merchant_profiles[m].home;
-            const auto a = find_indexed.find(indexed, from, to, currency);
-            const auto b = find_scan.find(scan, from, to, currency);
-            ASSERT_EQ(a.has_value(), b.has_value()) << "pair " << u << "," << m;
-            const auto wa = widest_indexed.find(indexed, from, to, currency);
-            const auto wb = widest_scan.find(scan, from, to, currency);
-            ASSERT_EQ(wa.has_value(), wb.has_value()) << "pair " << u << "," << m;
+            const auto a = shortest.find(graph, from, to, currency);
+            const auto w = widest.find(graph, from, to, currency);
+            put_path(a);
+            put_path(w);
             ++compared;
             if (a) {
-                EXPECT_EQ(a->nodes, b->nodes);
-                EXPECT_EQ(a->capacity.to_double(), b->capacity.to_double());
-                ++found;
+                ++shortest_found;
+                shortest_hops += a->intermediate_hops();
             }
-            if (wa) {
-                EXPECT_EQ(wa->nodes, wb->nodes);
-                EXPECT_EQ(wa->capacity.to_double(), wb->capacity.to_double());
+            if (w) {
+                ++widest_found;
+                widest_hops += w->intermediate_hops();
             }
         }
     }
-    // The sample must actually exercise both outcomes.
-    EXPECT_GT(found, 0u);
-    EXPECT_GT(compared, found);
+    EXPECT_EQ(compared, 270u);
+    EXPECT_EQ(shortest_found, 23u);
+    EXPECT_EQ(widest_found, 23u);
+    EXPECT_EQ(shortest_hops, 35u);
+    EXPECT_EQ(widest_hops, 57u);
+    EXPECT_EQ(util::hex_encode(hasher.finish()),
+              "9b0c27d7df4ae3e2619578328e7b86188fd61261e804cfa24640f8268e4472cd");
 }
 
+// The two replay tests below keep the names of the cross-engine checks
+// they replaced: each pins the node-visit total that the CSR index and
+// the retired per-visit lines_of() scan engine both produced, so the
+// searches' frontiers stay fixed, not just their end results.
 TEST_F(ReplayParityTest, FullReplayStatsIdenticalAcrossEngines) {
-    const MeasuredReplay indexed = run_replay(/*use_index=*/true, false);
-    const MeasuredReplay scan = run_replay(/*use_index=*/false, false);
-    expect_equal(indexed.stats, scan.stats);
+    const MeasuredReplay baseline = run_replay(/*remove_makers=*/false);
     // The workload is delivered-filtered: the baseline replays clean.
-    EXPECT_EQ(indexed.stats.delivered(), indexed.stats.submitted());
-    // Same searches, same frontiers: the visit totals must match too,
-    // not just the end results.
-    EXPECT_EQ(indexed.nodes_expanded, scan.nodes_expanded);
-    EXPECT_GT(indexed.nodes_expanded, 0u);
+    EXPECT_EQ(baseline.stats.delivered(), baseline.stats.submitted());
+    EXPECT_EQ(baseline.nodes_expanded, 28'064u);
 }
 
 TEST_F(ReplayParityTest, MakerFreeReplayStatsIdenticalAcrossEngines) {
-    const MeasuredReplay indexed = run_replay(/*use_index=*/true, true);
-    const MeasuredReplay scan = run_replay(/*use_index=*/false, true);
-    expect_equal(indexed.stats, scan.stats);
-    EXPECT_EQ(indexed.nodes_expanded, scan.nodes_expanded);
+    const MeasuredReplay removed = run_replay(/*remove_makers=*/true);
     // Removing every maker and offer must cost deliveries (Table II's
     // whole point); equality here would mean the removal did nothing.
-    EXPECT_LT(indexed.stats.delivered(), indexed.stats.submitted());
+    EXPECT_LT(removed.stats.delivered(), removed.stats.submitted());
+    EXPECT_EQ(removed.nodes_expanded, 3'796u);
 }
 
 TEST_F(ReplayParityTest, GoldenTableTwoStats) {
     // Pinned Table II numbers for parity_config() + the fixed replay
     // stream: any change to the generator, the engine, the finder, or
     // the replay harness that moves these is a REAL behaviour change
-    // and must be deliberate. (Values measured once at pin time; both
-    // engines produce them — the parity tests above guarantee that.)
-    const MeasuredReplay baseline = run_replay(/*use_index=*/true, false);
+    // and must be deliberate.
+    const MeasuredReplay baseline = run_replay(/*remove_makers=*/false);
     EXPECT_EQ(baseline.stats.cross_submitted, 1030u);
     EXPECT_EQ(baseline.stats.cross_delivered, 1030u);
     EXPECT_EQ(baseline.stats.single_submitted, 470u);
@@ -180,7 +187,7 @@ TEST_F(ReplayParityTest, GoldenTableTwoStats) {
     // Table II's shape at test scale: cross-currency collapses to zero
     // without makers; single-currency survives partially (the paper:
     // 36.10%, here 377/470 — the synthetic graph is denser).
-    const MeasuredReplay removed = run_replay(/*use_index=*/true, true);
+    const MeasuredReplay removed = run_replay(/*remove_makers=*/true);
     EXPECT_EQ(removed.stats.cross_submitted, 1030u);
     EXPECT_EQ(removed.stats.cross_delivered, 0u);
     EXPECT_EQ(removed.stats.single_submitted, 470u);

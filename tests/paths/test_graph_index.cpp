@@ -115,7 +115,7 @@ TEST_F(GraphIndexTest, DirectionBitMatchesCapacityFrom) {
     for (const AccountID& node : {a, b}) {
         const auto edges = part->edges_of(index_of(node));
         ASSERT_EQ(edges.size(), 1u);
-        // Out-capacity through the direction bit == the scan's
+        // Out-capacity through the direction bit == the line's
         // capacity_from(node), byte for byte.
         const ledger::TrustLine& stored = state_.lines()[edges[0].line];
         EXPECT_EQ(stored.directed_capacity(edges[0].node_is_low).to_double(),
@@ -125,8 +125,8 @@ TEST_F(GraphIndexTest, DirectionBitMatchesCapacityFrom) {
 
 TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
     // A hub with several USD lines plus EUR noise interleaved: the CSR
-    // span must list USD peers in exactly the order the legacy scan
-    // (lines_of insertion order, currency-filtered) enumerates them.
+    // span must list USD peers in exactly the order lines_of(hub)
+    // lists them, currency-filtered.
     const AccountID hub = add("hub");
     std::vector<AccountID> peers;
     for (int i = 0; i < 6; ++i) {
@@ -135,12 +135,12 @@ TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
         if (i % 2 == 0) edge(peers.back(), hub, kEur, 5.0);
     }
 
-    const TrustGraph graph(state_, /*use_index=*/false);
-    std::vector<std::uint32_t> scan_order;
-    graph.for_each_neighbor(hub, kUsd,
-                            [&](const AccountID& peer, const ledger::TrustLine*) {
-                                scan_order.push_back(index_of(peer));
-                            });
+    std::vector<std::uint32_t> lines_of_order;
+    for (const ledger::TrustLine* line : state_.lines_of(hub)) {
+        if (line->key().currency == kUsd) {
+            lines_of_order.push_back(index_of(line->peer_of(hub)));
+        }
+    }
 
     GraphIndex index;
     index.build(state_);
@@ -150,7 +150,7 @@ TEST_F(GraphIndexTest, PerNodeOrderMatchesLinesOfScan) {
     for (const GraphIndex::Edge& e : part->edges_of(index_of(hub))) {
         csr_order.push_back(e.peer);
     }
-    EXPECT_EQ(csr_order, scan_order);
+    EXPECT_EQ(csr_order, lines_of_order);
 }
 
 /// Every node's span in every partition of `index` is its
@@ -313,8 +313,8 @@ TEST_F(GraphIndexTest, GrownCloneSearchesWhatAFreshBuildGives) {
     const datagen::PopulationSnapshot snapshot = clone_test_population();
     LedgerState grown = snapshot.ledger.clone();
     const LedgerState sibling = snapshot.ledger.clone();
-    const TrustGraph graph(grown, /*use_index=*/true);
-    const TrustGraph sibling_graph(sibling, /*use_index=*/true);
+    const TrustGraph graph(grown);
+    const TrustGraph sibling_graph(sibling);
     {
         SCOPED_TRACE("before");
         expect_searched_index_is_a_fresh_build(graph);
@@ -375,7 +375,7 @@ TEST_F(GraphIndexTest, ClonesOfOneLedgerShareOneBuild) {
         exec::parallel_for(kClones, 1, [&](std::size_t begin, std::size_t end) {
             for (std::size_t c = begin; c < end; ++c) {
                 const LedgerState copy = snapshot.ledger.clone();
-                const TrustGraph graph(copy, /*use_index=*/true);
+                const TrustGraph graph(copy);
                 PathFinder finder;
                 for (const Query& query : queries) {
                     const auto path =
@@ -475,9 +475,9 @@ TEST_F(GraphIndexTest, ClonesShareTheIndexOfTheirTopologyOrder) {
     const LedgerState twin = state_.clone();
     EXPECT_EQ(copy.topology_generation(), state_.topology_generation());
 
-    const TrustGraph graph(copy, /*use_index=*/true);
-    const TrustGraph twin_graph(twin, /*use_index=*/true);
-    const TrustGraph original_graph(state_, /*use_index=*/true);
+    const TrustGraph graph(copy);
+    const TrustGraph twin_graph(twin);
+    const TrustGraph original_graph(state_);
     const GraphIndex& shared = graph.index().shared();
     EXPECT_EQ(&twin_graph.index().shared(), &shared);
     EXPECT_NE(&original_graph.index().shared(), &shared);
@@ -500,7 +500,7 @@ TEST_F(GraphIndexTest, ExclusionStampsAreEpochScoped) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, kUsd, 10.0);
-    TrustGraph graph(state_, /*use_index=*/true);
+    TrustGraph graph(state_);
     EXPECT_FALSE(graph.is_excluded_index(index_of(b)));
     graph.exclude(b);
     EXPECT_TRUE(graph.is_excluded_index(index_of(b)));

@@ -17,10 +17,7 @@ using ledger::LedgerState;
 
 const Currency kUsd = Currency::from_code("USD");
 
-/// Every test runs against BOTH neighbor engines: the CSR GraphIndex
-/// (param = true) and the legacy lines_of() scan (param = false). The
-/// two must agree on every path, including tie-breaks.
-class PathFinderTest : public ::testing::TestWithParam<bool> {
+class PathFinderTest : public ::testing::Test {
 protected:
     AccountID add(const std::string& seed) {
         const AccountID id = AccountID::from_seed(seed);
@@ -34,19 +31,14 @@ protected:
     }
 
     [[nodiscard]] TrustGraph graph() const {
-        return TrustGraph(state_, GetParam());
+        return TrustGraph(state_);
     }
 
     LedgerState state_;
     PathFinder finder_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Engines, PathFinderTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                             return info.param ? "Indexed" : "Scan";
-                         });
-
-TEST_P(PathFinderTest, FindsDirectEdge) {
+TEST_F(PathFinderTest, FindsDirectEdge) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, 50.0);
@@ -58,7 +50,7 @@ TEST_P(PathFinderTest, FindsDirectEdge) {
     EXPECT_NEAR(path->capacity.to_double(), 50.0, 1e-9);
 }
 
-TEST_P(PathFinderTest, FindsTwoHopPathThroughGateway) {
+TEST_F(PathFinderTest, FindsTwoHopPathThroughGateway) {
     const AccountID user = add("user");
     const AccountID gateway = add("gateway");
     const AccountID merchant = add("merchant");
@@ -72,7 +64,7 @@ TEST_P(PathFinderTest, FindsTwoHopPathThroughGateway) {
     EXPECT_NEAR(path->capacity.to_double(), 30.0, 1e-9);  // bottleneck
 }
 
-TEST_P(PathFinderTest, PrefersShortestPath) {
+TEST_F(PathFinderTest, PrefersShortestPath) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     const AccountID x = add("x");
@@ -88,14 +80,14 @@ TEST_P(PathFinderTest, PrefersShortestPath) {
     EXPECT_EQ(path->nodes.size(), 2u);
 }
 
-TEST_P(PathFinderTest, NoPathReturnsNullopt) {
+TEST_F(PathFinderTest, NoPathReturnsNullopt) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     const TrustGraph g = graph();
     EXPECT_FALSE(finder_.find(g, a, b, kUsd).has_value());
 }
 
-TEST_P(PathFinderTest, DirectionalityRespected) {
+TEST_F(PathFinderTest, DirectionalityRespected) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, 50.0);  // only a -> b
@@ -104,7 +96,7 @@ TEST_P(PathFinderTest, DirectionalityRespected) {
     EXPECT_FALSE(finder_.find(g, b, a, kUsd).has_value());
 }
 
-TEST_P(PathFinderTest, ZeroCapacityEdgeIsUnusable) {
+TEST_F(PathFinderTest, ZeroCapacityEdgeIsUnusable) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, 50.0);
@@ -114,7 +106,7 @@ TEST_P(PathFinderTest, ZeroCapacityEdgeIsUnusable) {
     EXPECT_FALSE(finder_.find(g, a, b, kUsd).has_value());
 }
 
-TEST_P(PathFinderTest, ExcludedIntermediateAvoided) {
+TEST_F(PathFinderTest, ExcludedIntermediateAvoided) {
     const AccountID a = add("a");
     const AccountID via1 = add("via1");
     const AccountID via2 = add("via2");
@@ -130,7 +122,7 @@ TEST_P(PathFinderTest, ExcludedIntermediateAvoided) {
     EXPECT_EQ(path->nodes[1], via2);
 }
 
-TEST_P(PathFinderTest, ExcludedEndpointFails) {
+TEST_F(PathFinderTest, ExcludedEndpointFails) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     edge(a, b, 10.0);
@@ -139,13 +131,13 @@ TEST_P(PathFinderTest, ExcludedEndpointFails) {
     EXPECT_FALSE(finder_.find(g, a, b, kUsd).has_value());
 }
 
-TEST_P(PathFinderTest, SameSourceAndDestinationRejected) {
+TEST_F(PathFinderTest, SameSourceAndDestinationRejected) {
     const AccountID a = add("a");
     const TrustGraph g = graph();
     EXPECT_FALSE(finder_.find(g, a, a, kUsd).has_value());
 }
 
-TEST_P(PathFinderTest, RespectsDepthLimit) {
+TEST_F(PathFinderTest, RespectsDepthLimit) {
     // A chain of 6 intermediates with a finder capped at 4.
     std::vector<AccountID> chain;
     chain.push_back(add("n0"));
@@ -167,7 +159,7 @@ TEST_P(PathFinderTest, RespectsDepthLimit) {
     EXPECT_EQ(path->intermediate_hops(), 6u);
 }
 
-TEST_P(PathFinderTest, MaxVisitedCutsTheSearchOff) {
+TEST_F(PathFinderTest, MaxVisitedCutsTheSearchOff) {
     // A wide two-level fan (a -> 30 relays -> b): the search must
     // visit every relay before it can close the path, so a budget of 5
     // gives up while a roomy budget finds the two-hop route.
@@ -189,7 +181,7 @@ TEST_P(PathFinderTest, MaxVisitedCutsTheSearchOff) {
     EXPECT_EQ(path->intermediate_hops(), 1u);
 }
 
-TEST_P(PathFinderTest, FindsEightHopSpamChain) {
+TEST_F(PathFinderTest, FindsEightHopSpamChain) {
     // The MTL spam shape: 8 intermediates.
     std::vector<AccountID> chain;
     chain.push_back(add("spammer"));
@@ -205,7 +197,7 @@ TEST_P(PathFinderTest, FindsEightHopSpamChain) {
     EXPECT_EQ(path->nodes, chain);
 }
 
-TEST_P(PathFinderTest, ScratchBuffersSurviveReuse) {
+TEST_F(PathFinderTest, ScratchBuffersSurviveReuse) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     const AccountID c = add("c");
@@ -219,7 +211,7 @@ TEST_P(PathFinderTest, ScratchBuffersSurviveReuse) {
     }
 }
 
-TEST_P(PathFinderTest, NoRippleAccountsBlockInteriorRouting) {
+TEST_F(PathFinderTest, NoRippleAccountsBlockInteriorRouting) {
     // A user that does not enable DefaultRipple cannot be used as an
     // intermediate hop, even with capacity on both sides.
     const AccountID a = add("a");
@@ -237,7 +229,7 @@ TEST_P(PathFinderTest, NoRippleAccountsBlockInteriorRouting) {
     EXPECT_TRUE(finder_.find(g, locked, b, kUsd).has_value());
 }
 
-TEST_P(PathFinderTest, ExclusionBeforeCreationHolds) {
+TEST_F(PathFinderTest, ExclusionBeforeCreationHolds) {
     // Excluding an account before it exists must keep it out of every
     // path once it is created and wired in, whether or not the graph
     // searched (and built its index) in between.
@@ -263,7 +255,7 @@ TEST_P(PathFinderTest, ExclusionBeforeCreationHolds) {
     EXPECT_EQ(path->nodes, (std::vector<AccountID>{a, x, b}));
 }
 
-TEST_P(PathFinderTest, ExclusionBeforeCreationHoldsOnAClone) {
+TEST_F(PathFinderTest, ExclusionBeforeCreationHoldsOnAClone) {
     // The same on a clone, whose new account and lines sit on top of the
     // topology it shares with the original: the excluded account's index
     // comes into being after the clone's first search.
@@ -271,8 +263,8 @@ TEST_P(PathFinderTest, ExclusionBeforeCreationHoldsOnAClone) {
     const AccountID b = add("b");
     LedgerState copy = state_.clone();
     const AccountID x = AccountID::from_seed("x");
-    TrustGraph searched(copy, GetParam());
-    TrustGraph fresh(copy, GetParam());
+    TrustGraph searched(copy);
+    TrustGraph fresh(copy);
     searched.exclude(x);
     fresh.exclude(x);
     EXPECT_FALSE(finder_.find(searched, a, b, kUsd).has_value());
@@ -292,14 +284,13 @@ TEST_P(PathFinderTest, ExclusionBeforeCreationHoldsOnAClone) {
     EXPECT_EQ(state_.account(x), nullptr);
 }
 
-TEST_P(PathFinderTest, CapacityReadsDoNotGrowWithNonRipplingHolders) {
+TEST_F(PathFinderTest, CapacityReadsDoNotGrowWithNonRipplingHolders) {
     // A gateway whose holders block rippling: searching from one
     // holder to a merchant expands the gateway, but DefaultRipple rules
-    // every other holder out as a hop, so the indexed engine must not
-    // read their lines. The same search against 10 and 1,000 holders
-    // reads the same capacities: holder -> gateway, then the
-    // gateway's lines to the source and to the merchant. The scan
-    // engine does not count reads.
+    // every other holder out as a hop, so the search must not read
+    // their lines. The same search against 10 and 1,000 holders reads
+    // the same capacities: holder -> gateway, then the gateway's lines
+    // to the source and to the merchant.
     const auto locked = [&](const std::string& seed) {
         const AccountID id = AccountID::from_seed(seed);
         state_.create_account(id, ledger::XrpAmount::from_xrp(10.0), false,
@@ -336,10 +327,10 @@ TEST_P(PathFinderTest, CapacityReadsDoNotGrowWithNonRipplingHolders) {
     const std::uint64_t few = reads_for(10);
     const std::uint64_t many = reads_for(1000);
     EXPECT_EQ(few, many);
-    EXPECT_EQ(few, GetParam() ? 3u : 0u);
+    EXPECT_EQ(few, 3u);
 }
 
-TEST_P(PathFinderTest, HubTopologyFindsFourHopRoute) {
+TEST_F(PathFinderTest, HubTopologyFindsFourHopRoute) {
     // user -> minorG -> hub -> majorG -> merchant.
     const AccountID user = add("user");
     const AccountID minor = add("minorG");
@@ -357,9 +348,10 @@ TEST_P(PathFinderTest, HubTopologyFindsFourHopRoute) {
     EXPECT_NEAR(path->capacity.to_double(), 100.0, 1e-9);
 }
 
-TEST_P(PathFinderTest, BothEnginesReturnIdenticalPaths) {
-    // A small braided topology with genuine tie-breaks: whatever this
-    // engine returns must match the other engine node for node.
+TEST_F(PathFinderTest, TieBreakFollowsLinesOfOrder) {
+    // A small braided topology with genuine tie-breaks: five two-hop
+    // routes a -> mid_i -> b. The search expands a's side first, then
+    // meets on b's first in-neighbour in lines_of() order, mid0.
     const AccountID a = add("a");
     const AccountID b = add("b");
     std::vector<AccountID> mids;
@@ -370,15 +362,11 @@ TEST_P(PathFinderTest, BothEnginesReturnIdenticalPaths) {
     }
     edge(mids[1], mids[3], 7.0);
 
-    const TrustGraph mine(state_, GetParam());
-    const TrustGraph other(state_, !GetParam());
-    PathFinder other_finder;
-    const auto p1 = finder_.find(mine, a, b, kUsd);
-    const auto p2 = other_finder.find(other, a, b, kUsd);
-    ASSERT_TRUE(p1.has_value());
-    ASSERT_TRUE(p2.has_value());
-    EXPECT_EQ(p1->nodes, p2->nodes);
-    EXPECT_EQ(p1->capacity.to_double(), p2->capacity.to_double());
+    const TrustGraph g = graph();
+    const auto path = finder_.find(g, a, b, kUsd);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->nodes, (std::vector<AccountID>{a, mids[0], b}));
+    EXPECT_EQ(path->capacity.to_double(), 10.0);
 }
 
 }  // namespace

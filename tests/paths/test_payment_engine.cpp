@@ -557,9 +557,7 @@ TEST_F(PaymentEngineTest, ApplyTrustSetRejectsUnknownOrSelfPeer) {
     const AccountID a = add("a");
     const AccountID b = add("b");
     const AccountID ghost = AccountID::from_seed("ghost");
-    EngineConfig config;
-    config.use_path_index = true;
-    PaymentEngine engine(state_, config);
+    PaymentEngine engine(state_);
     const std::uint64_t generation = state_.topology_generation();
 
     ledger::Transaction trust;
@@ -579,6 +577,43 @@ TEST_F(PaymentEngineTest, ApplyTrustSetRejectsUnknownOrSelfPeer) {
 
     edge(a, b, kUsd, 50.0);
     EXPECT_TRUE(engine.execute(request(a, b, kUsd, 20.0)).success);
+}
+
+TEST_F(PaymentEngineTest, ApplyTrustSetRejectsNegativeLimitOrXrp) {
+    // A negative limit would put a new line past its limit from the
+    // start, and XRP is no trust-line currency: both fail and leave the
+    // ledger as it was, on a new line and on an existing one. A zero
+    // limit stays valid.
+    const AccountID a = add("a");
+    const AccountID b = add("b");
+    PaymentEngine engine(state_);
+    const std::uint64_t generation = state_.topology_generation();
+
+    ledger::Transaction trust;
+    trust.type = ledger::TxType::kTrustSet;
+    trust.sender = a;
+    trust.trust_peer = b;
+    trust.trust_currency = kUsd;
+    trust.trust_limit = IouAmount::from_double(-5.0);
+    EXPECT_FALSE(engine.apply(trust).success);
+    trust.trust_currency = kXrp;
+    trust.trust_limit = IouAmount::from_double(100.0);
+    EXPECT_FALSE(engine.apply(trust).success);
+    EXPECT_EQ(state_.trustline_count(), 0u);
+    EXPECT_EQ(state_.currency_count(), 0u);
+    EXPECT_EQ(state_.topology_generation(), generation);
+
+    trust.trust_currency = kUsd;
+    trust.trust_limit = IouAmount{};
+    EXPECT_TRUE(engine.apply(trust).success);
+    trust.trust_limit = IouAmount::from_double(50.0);
+    EXPECT_TRUE(engine.apply(trust).success);
+    trust.trust_limit = IouAmount::from_double(-5.0);
+    EXPECT_FALSE(engine.apply(trust).success);
+    const ledger::TrustLine* line = state_.trustline(a, b, kUsd);
+    ASSERT_NE(line, nullptr);
+    EXPECT_EQ(line->limit_of(a).to_double(), 50.0);
+    EXPECT_EQ(state_.trustline_count(), 1u);
 }
 
 TEST_F(PaymentEngineTest, FailedAccountCreateLeavesNoAccount) {

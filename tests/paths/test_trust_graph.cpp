@@ -1,6 +1,14 @@
+// TrustGraph as a search sees it: which lines carry value in which
+// direction, in which currency, and which accounts the exclusion set
+// hides. Every case asks PathFinder::find, so the edges under test are
+// the ones the search walks.
 #include "paths/trust_graph.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
+
+#include "paths/path_finder.hpp"
 
 namespace xrpl::paths {
 namespace {
@@ -13,82 +21,83 @@ using ledger::LedgerState;
 class TrustGraphTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        a_ = AccountID::from_seed("a");
-        b_ = AccountID::from_seed("b");
-        c_ = AccountID::from_seed("c");
-        for (const auto& id : {a_, b_, c_}) {
-            state_.create_account(id, ledger::XrpAmount::from_xrp(10.0));
-        }
+        a_ = add("a");
+        b_ = add("b");
+        c_ = add("c");
         // b trusts a: a can send to b.
         state_.set_trust(b_, a_, usd_, IouAmount::from_double(100.0));
     }
 
-    [[nodiscard]] std::vector<AccountID> neighbors_of(const TrustGraph& graph,
-                                                      const AccountID& from) const {
-        std::vector<AccountID> out;
-        graph.for_each_neighbor(from, usd_,
-                                [&](const AccountID& peer, const ledger::TrustLine*) {
-                                    out.push_back(peer);
-                                });
-        return out;
+    /// A rippling account, so it may sit inside a path.
+    AccountID add(const char* seed) {
+        const AccountID id = AccountID::from_seed(seed);
+        state_.create_account(id, ledger::XrpAmount::from_xrp(10.0), false,
+                              /*allows_rippling=*/true);
+        return id;
+    }
+
+    [[nodiscard]] std::vector<AccountID> path(const TrustGraph& graph,
+                                              const AccountID& from,
+                                              const AccountID& to,
+                                              Currency currency) {
+        const auto found = finder_.find(graph, from, to, currency);
+        return found ? found->nodes : std::vector<AccountID>{};
     }
 
     LedgerState state_;
+    PathFinder finder_;
     AccountID a_, b_, c_;
     const Currency usd_ = Currency::from_code("USD");
 };
 
 TEST_F(TrustGraphTest, NeighborRequiresPositiveCapacity) {
     const TrustGraph graph(state_);
-    EXPECT_EQ(neighbors_of(graph, a_), std::vector<AccountID>{b_});
+    EXPECT_EQ(path(graph, a_, b_, usd_), (std::vector<AccountID>{a_, b_}));
     // b cannot send to a: a declared no trust.
-    EXPECT_TRUE(neighbors_of(graph, b_).empty());
+    EXPECT_TRUE(path(graph, b_, a_, usd_).empty());
 }
 
 TEST_F(TrustGraphTest, CurrencyFiltering) {
     const TrustGraph graph(state_);
-    std::vector<AccountID> eur_neighbors;
-    graph.for_each_neighbor(a_, Currency::from_code("EUR"),
-                            [&](const AccountID& peer, const ledger::TrustLine*) {
-                                eur_neighbors.push_back(peer);
-                            });
-    EXPECT_TRUE(eur_neighbors.empty());
+    EXPECT_TRUE(path(graph, a_, b_, Currency::from_code("EUR")).empty());
 }
 
 TEST_F(TrustGraphTest, ExclusionHidesNeighbors) {
+    // c trusts b: a -> b -> c, and b is excluded as a hop.
+    state_.set_trust(c_, b_, usd_, IouAmount::from_double(50.0));
     TrustGraph graph(state_);
+    EXPECT_EQ(path(graph, a_, c_, usd_), (std::vector<AccountID>{a_, b_, c_}));
     graph.exclude(b_);
-    EXPECT_TRUE(neighbors_of(graph, a_).empty());
+    EXPECT_TRUE(path(graph, a_, c_, usd_).empty());
     EXPECT_TRUE(graph.is_excluded(b_));
     EXPECT_EQ(graph.exclusion_count(), 1u);
     graph.clear_exclusions();
-    EXPECT_EQ(neighbors_of(graph, a_), std::vector<AccountID>{b_});
+    EXPECT_EQ(path(graph, a_, c_, usd_), (std::vector<AccountID>{a_, b_, c_}));
 }
 
 TEST_F(TrustGraphTest, ExhaustedCapacityRemovesEdge) {
     ledger::TrustLine* line = state_.trustline(a_, b_, usd_);
     ASSERT_TRUE(line->transfer_from(a_, IouAmount::from_double(100.0)));
     const TrustGraph graph(state_);
-    EXPECT_TRUE(neighbors_of(graph, a_).empty());
+    EXPECT_TRUE(path(graph, a_, b_, usd_).empty());
     // The reverse direction gained capacity (repayment).
-    EXPECT_EQ(neighbors_of(graph, b_), std::vector<AccountID>{a_});
+    EXPECT_EQ(path(graph, b_, a_, usd_), (std::vector<AccountID>{b_, a_}));
 }
 
 TEST_F(TrustGraphTest, InNeighborsMirrorOutNeighbors) {
-    const TrustGraph graph(state_);
-    std::vector<AccountID> senders;
-    graph.for_each_in_neighbor(b_, usd_,
-                               [&](const AccountID& peer, const ledger::TrustLine*) {
-                                   senders.push_back(peer);
-                               });
-    EXPECT_EQ(senders, std::vector<AccountID>{a_});
-}
+    // a has two out-neighbours (b, c) and d one line, to b, so after a's
+    // side the search expands d's smaller side: the meeting at b must
+    // come from d's in-neighbours, which need capacity from b to d.
+    state_.set_trust(c_, a_, usd_, IouAmount::from_double(100.0));
+    const AccountID d = add("d");
+    // b trusts d: that line carries value from d to b only.
+    state_.set_trust(b_, d, usd_, IouAmount::from_double(100.0));
+    EXPECT_TRUE(path(TrustGraph(state_), a_, d, usd_).empty());
 
-TEST_F(TrustGraphTest, OutDegreeCountsUsableEdges) {
-    state_.set_trust(c_, a_, usd_, IouAmount::from_double(5.0));
-    const TrustGraph graph(state_);
-    EXPECT_EQ(graph.out_degree(a_, usd_), 2u);
-    EXPECT_EQ(graph.out_degree(b_, usd_), 0u);
+    // d trusts b: now b can send to d.
+    state_.set_trust(d, b_, usd_, IouAmount::from_double(100.0));
+    EXPECT_EQ(path(TrustGraph(state_), a_, d, usd_),
+              (std::vector<AccountID>{a_, b_, d}));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // util::Options — the typed XRPL_* registry: parsing, defaults, the
 // explicit-presence probe, and the self-documenting option table.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,26 +21,35 @@ const char* const kAllVars[] = {
     "XRPL_BENCH_PAYMENTS",
     "XRPL_BENCH_CONSENSUS_SCALE",
     "XRPL_BENCH_REPLAY_PAYMENTS",
-    "XRPL_BENCH_REPLAY_ACCOUNTS",
     "XRPL_BENCH_DATAGEN_PAYMENTS",
     "XRPL_BENCH_JSON_DIR",
     "XRPL_DATASET_DIR",
-    "XRPL_PATH_INDEX",
 };
 
-/// Every test starts and ends with a clean environment (the suite may
-/// itself run under XRPL_THREADS pins; save and restore them).
+/// The XRPL_* variables set in the environment, as (name, value).
+std::vector<std::pair<std::string, std::string>> xrpl_variables() {
+    std::vector<std::pair<std::string, std::string>> found;
+    for (char** entry = environ; *entry != nullptr; ++entry) {
+        const std::string_view variable(*entry);
+        if (!variable.starts_with("XRPL_")) continue;
+        const std::size_t equals = variable.find('=');
+        found.emplace_back(std::string(variable.substr(0, equals)),
+                           std::string(variable.substr(equals + 1)));
+    }
+    return found;
+}
+
+/// Every test starts and ends with an environment free of XRPL_*
+/// variables (the suite may itself run under XRPL_THREADS pins; save
+/// and restore them).
 class OptionsTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        for (const char* name : kAllVars) {
-            const char* value = std::getenv(name);
-            if (value != nullptr) saved_.emplace_back(name, value);
-            ::unsetenv(name);
-        }
+        saved_ = xrpl_variables();
+        for (const auto& [name, value] : saved_) ::unsetenv(name.c_str());
     }
     void TearDown() override {
-        for (const char* name : kAllVars) ::unsetenv(name);
+        for (const auto& [name, value] : xrpl_variables()) ::unsetenv(name.c_str());
         for (const auto& [name, value] : saved_) {
             ::setenv(name.c_str(), value.c_str(), 1);
         }
@@ -56,11 +67,9 @@ TEST_F(OptionsTest, DefaultsWithCleanEnvironment) {
     EXPECT_EQ(opts.bench_payments, 250'000u);
     EXPECT_EQ(opts.bench_consensus_scale, 10u);
     EXPECT_EQ(opts.bench_replay_payments, 40'000u);
-    EXPECT_EQ(opts.bench_replay_accounts, 20'000u);
     EXPECT_EQ(opts.bench_datagen_payments, 100'000u);
     EXPECT_EQ(opts.bench_json_dir, ".");
     EXPECT_EQ(opts.dataset_dir, "");  // caching off by default
-    EXPECT_TRUE(opts.path_index);     // CSR index engine is the default
 }
 
 TEST_F(OptionsTest, ParsesEveryKnob) {
@@ -69,11 +78,9 @@ TEST_F(OptionsTest, ParsesEveryKnob) {
     ::setenv("XRPL_BENCH_PAYMENTS", "1234", 1);
     ::setenv("XRPL_BENCH_CONSENSUS_SCALE", "55", 1);
     ::setenv("XRPL_BENCH_REPLAY_PAYMENTS", "777", 1);
-    ::setenv("XRPL_BENCH_REPLAY_ACCOUNTS", "888", 1);
     ::setenv("XRPL_BENCH_DATAGEN_PAYMENTS", "4321", 1);
     ::setenv("XRPL_BENCH_JSON_DIR", "/tmp/reports", 1);
     ::setenv("XRPL_DATASET_DIR", "/tmp/datasets", 1);
-    ::setenv("XRPL_PATH_INDEX", "0", 1);
     const Options opts = Options::from_env();
     EXPECT_EQ(opts.threads, 3u);
     EXPECT_TRUE(opts.obs);
@@ -81,11 +88,9 @@ TEST_F(OptionsTest, ParsesEveryKnob) {
     EXPECT_EQ(opts.bench_payments, 1234u);
     EXPECT_EQ(opts.bench_consensus_scale, 55u);
     EXPECT_EQ(opts.bench_replay_payments, 777u);
-    EXPECT_EQ(opts.bench_replay_accounts, 888u);
     EXPECT_EQ(opts.bench_datagen_payments, 4321u);
     EXPECT_EQ(opts.bench_json_dir, "/tmp/reports");
     EXPECT_EQ(opts.dataset_dir, "/tmp/datasets");
-    EXPECT_FALSE(opts.path_index);
 }
 
 TEST_F(OptionsTest, ObsExplicitDistinguishesZeroFromAbsent) {
@@ -110,6 +115,24 @@ TEST_F(OptionsTest, MalformedValuesFallBack) {
     EXPECT_GE(opts.threads, 1u);
     EXPECT_FALSE(opts.obs);  // strict flag: only "0"/"1" parse
     EXPECT_EQ(opts.bench_payments, 250'000u);
+}
+
+TEST_F(OptionsTest, UnknownVariablesWarn) {
+    // A retired or misspelt knob would otherwise do nothing, silently.
+    ::setenv("XRPL_PATH_INDEX", "0", 1);
+    ::setenv("XRPL_THRAEDS", "2", 1);
+    ::testing::internal::CaptureStderr();
+    (void)Options::from_env();
+    const std::string warned = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(warned.find("XRPL_PATH_INDEX"), std::string::npos) << warned;
+    EXPECT_NE(warned.find("XRPL_THRAEDS"), std::string::npos) << warned;
+
+    ::unsetenv("XRPL_PATH_INDEX");
+    ::unsetenv("XRPL_THRAEDS");
+    for (const char* name : kAllVars) ::setenv(name, "1", 1);
+    ::testing::internal::CaptureStderr();
+    (void)Options::from_env();
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 TEST_F(OptionsTest, FromEnvReReadsTheEnvironment) {

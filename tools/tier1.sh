@@ -13,11 +13,12 @@ cd build && ctest --output-on-failure -j
 # one process (ScopedParallelism); re-running them under explicit
 # XRPL_THREADS pins also covers the env-driven shared-pool setup the
 # benches use. Widths 1 and 8 bracket serial and oversubscribed.
-# The golden suites ride along: ReplayParityTest (indexed-vs-scan
-# path-engine parity, golden Table II) and ColumnarParityTest (the
-# pinned Fig 3 / anonymity / attack / mitigation / clustering / spam
-# values) must hold at every pool width too, and FingerprintGroupsTest
-# checks the bucketed fingerprint sort against one whole-array sort.
+# The golden suites ride along: ReplayParityTest (the pinned paths of
+# sampled pairs, the replays' node-visit totals, golden Table II) and
+# ColumnarParityTest (the pinned Fig 3 / anonymity / attack /
+# mitigation / clustering / spam values) must hold at every pool width
+# too, and FingerprintGroupsTest checks the bucketed fingerprint sort
+# against one whole-array sort.
 # The suites are listed once, in tools/golden_suites.filter, which CI's
 # width step reads too.
 golden_filter=$(grep '^[^#]' ../tools/golden_suites.filter | paste -sd: -)
