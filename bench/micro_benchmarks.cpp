@@ -20,6 +20,7 @@
 #include "paths/payment_engine.hpp"
 #include "paths/widest_path.hpp"
 #include "util/base58.hpp"
+#include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
 
@@ -121,14 +122,13 @@ void BM_InformationGainColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_InformationGainColumnar)->Arg(10'000)->Arg(100'000)->Arg(250'000);
 
-// Thread-count sweep for the chunked scans: 1 / 2 / 4 / all hardware
-// threads (skipped when hardware has 4 or fewer). The Arg is the pool
-// width; results must be identical across the sweep — only the time
-// may move.
+// Thread-count sweep for the chunked scans: 1 / 2 / 4 / the shared
+// pool's width (XRPL_THREADS, default all hardware threads; skipped
+// when 4 or fewer). The Arg is the pool width; results must be
+// identical across the sweep — only the time may move.
 void ThreadSweepArgs(benchmark::internal::Benchmark* b) {
     b->Arg(1)->Arg(2)->Arg(4);
-    const auto hardware =
-        static_cast<std::int64_t>(exec::ThreadPool::configured_parallelism());
+    const auto hardware = static_cast<std::int64_t>(util::options().threads);
     if (hardware > 4) b->Arg(hardware);
 }
 

@@ -329,20 +329,6 @@ private:
 
 }  // namespace
 
-std::vector<PaymentRequest> make_replay_workload(const Population& population,
-                                                 std::size_t count,
-                                                 double cross_fraction,
-                                                 util::Rng& rng) {
-    ReplayCandidateSource source(population, rng);
-    std::vector<PaymentRequest> requests;
-    requests.reserve(count);
-    while (requests.size() < count) {
-        auto candidate = source.next(rng.bernoulli(cross_fraction));
-        if (candidate) requests.push_back(std::move(*candidate));
-    }
-    return requests;
-}
-
 std::vector<PaymentRequest> make_delivered_replay_workload(
     const Population& population, const ledger::LedgerState& snapshot,
     std::size_t count, double cross_fraction, util::Rng& rng) {

@@ -81,16 +81,11 @@ struct PopulationSnapshot {
 
 /// Build the Table II replay workload against an existing population:
 /// `count` payments, `cross_fraction` of them cross-currency (the
-/// paper's Feb-Aug 2015 slice is 68.7% cross).
-[[nodiscard]] std::vector<paths::PaymentRequest> make_replay_workload(
-    const Population& population, std::size_t count, double cross_fraction,
-    util::Rng& rng);
-
-/// Like make_replay_workload, but keeps only payments that actually
-/// deliver when executed in order against a (scratch clone of the)
-/// snapshot — mirroring the paper, which replays "all payments
-/// submitted after the snapshot and successfully delivered until
-/// August 2015". Replaying the result against a fresh clone of
+/// paper's Feb-Aug 2015 slice is 68.7% cross), keeping only payments
+/// that actually deliver when executed in order against a (scratch
+/// clone of the) snapshot — mirroring the paper, which replays "all
+/// payments submitted after the snapshot and successfully delivered
+/// until August 2015". Replaying the result against a fresh clone of
 /// `snapshot` therefore delivers 100% by construction.
 [[nodiscard]] std::vector<paths::PaymentRequest> make_delivered_replay_workload(
     const Population& population, const ledger::LedgerState& snapshot,

@@ -116,15 +116,8 @@ ThreadPool& ThreadPool::shared() {
     const std::lock_guard<std::mutex> lock(g_shared_mutex);
     if (g_override != nullptr) return *g_override;
     std::unique_ptr<ThreadPool>& pool = shared_slot();
-    if (!pool) pool = std::make_unique<ThreadPool>(configured_parallelism());
+    if (!pool) pool = std::make_unique<ThreadPool>(util::options().threads);
     return *pool;
-}
-
-std::size_t ThreadPool::configured_parallelism() {
-    // from_env(), not options(): this probe documents re-read
-    // semantics (tests flip XRPL_THREADS between calls); the cached
-    // options() snapshot is for steady-state consumers.
-    return util::Options::from_env().threads;
 }
 
 ScopedParallelism::ScopedParallelism(std::size_t parallelism)

@@ -51,15 +51,10 @@ public:
     /// still run). Tasks may call run() themselves.
     void run(std::size_t count, const std::function<void(std::size_t)>& task);
 
-    /// The process-wide pool, created on first use with
-    /// configured_parallelism() workers. XRPL_THREADS is read once,
-    /// at that first call.
+    /// The process-wide pool, created on first use with parallelism
+    /// util::options().threads (XRPL_THREADS, defaulting to
+    /// hardware_concurrency()).
     [[nodiscard]] static ThreadPool& shared();
-
-    /// Strict-parsed XRPL_THREADS, defaulting to
-    /// hardware_concurrency() (minimum 1). Re-reads the environment
-    /// on every call; shared() snapshots it once.
-    [[nodiscard]] static std::size_t configured_parallelism();
 
 private:
     friend class ScopedParallelism;

@@ -57,6 +57,10 @@
 
 namespace xrpl::ledger {
 
+/// The flat fee a successful transaction burns, in drops (§III-A's
+/// "small XRP fee"; fees are destroyed, never redistributed).
+inline constexpr XrpAmount kBaseFee{10};
+
 /// Per-account root entry, per-ledger state. The balance and sequence
 /// change; id, flags and index are fixed when the account is created,
 /// so they are const: the topology's key map and ripple_flags() (which
@@ -219,7 +223,7 @@ public:
     /// insufficient balance. (Fees are destroyed, not redistributed —
     /// §III-A of the paper.)
     bool xrp_payment(const AccountID& from, const AccountID& to, XrpAmount amount,
-                     XrpAmount fee = XrpAmount{10});
+                     XrpAmount fee = kBaseFee);
 
     /// Total XRP destroyed by fees so far.
     [[nodiscard]] XrpAmount burned_fees() const noexcept { return burned_; }

@@ -5,12 +5,12 @@ namespace xrpl::node {
 Node::Node(ledger::LedgerState& state,
            std::vector<consensus::ValidatorSpec> validators, NodeConfig config)
     : config_(config),
-      engine_(state, config.engine),
+      engine_(state),
       consensus_(std::move(validators), config.consensus),
       clock_(config.consensus.start_time) {}
 
 TransactionQueue::SubmitResult Node::submit(const ledger::Transaction& tx) {
-    return submit(tx, config_.default_fee);
+    return submit(tx, ledger::kBaseFee);
 }
 
 TransactionQueue::SubmitResult Node::submit(const ledger::Transaction& tx,

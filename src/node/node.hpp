@@ -26,11 +26,8 @@ namespace xrpl::node {
 
 struct NodeConfig {
     consensus::ConsensusConfig consensus;
-    paths::EngineConfig engine;
     /// Max transactions sealed per page.
     std::size_t max_txs_per_page = 20;
-    /// Fee offered by submit() when the caller does not specify one.
-    ledger::XrpAmount default_fee{10};
 };
 
 /// One transaction's fate inside a sealed page.
@@ -53,7 +50,8 @@ public:
     Node(ledger::LedgerState& state,
          std::vector<consensus::ValidatorSpec> validators, NodeConfig config);
 
-    /// Submit a transaction to the open ledger.
+    /// Submit a transaction to the open ledger, offering
+    /// ledger::kBaseFee unless the caller names a fee.
     TransactionQueue::SubmitResult submit(const ledger::Transaction& tx);
     TransactionQueue::SubmitResult submit(const ledger::Transaction& tx,
                                           ledger::XrpAmount fee);

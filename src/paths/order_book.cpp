@@ -4,28 +4,14 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "util/contract.hpp"
 
 namespace xrpl::paths {
 
-using ledger::Amount;
 using ledger::BookKey;
 using ledger::IouAmount;
 using ledger::LedgerState;
 using ledger::Offer;
-
-std::optional<double> best_rate(const LedgerState& ledger, const BookKey& key) {
-    const auto& entries = ledger.book(key);
-    if (entries.empty()) return std::nullopt;
-    return entries.front().rate();
-}
-
-IouAmount book_depth(const LedgerState& ledger, const BookKey& key) {
-    IouAmount total;
-    for (const Offer& offer : ledger.book(key)) {
-        total = total + offer.taker_gets.value;
-    }
-    return total;
-}
 
 std::vector<Fill> plan_fills(const LedgerState& ledger, const BookKey& key,
                              IouAmount gets_target,
@@ -51,65 +37,36 @@ std::vector<Fill> plan_fills(const LedgerState& ledger, const BookKey& key,
     return plan;
 }
 
-bool consume_fill(LedgerState& ledger, const BookKey& key, const Fill& fill) {
+std::optional<ConsumedOffer> consume_fill(LedgerState& ledger, const BookKey& key,
+                                          const Fill& fill) {
     auto& entries = ledger.book_mutable(key);
     const auto it = std::find_if(entries.begin(), entries.end(),
                                  [&](const Offer& o) { return o.id == fill.offer_id; });
-    if (it == entries.end()) return false;
-    if (it->taker_gets.value < fill.gets) return false;
+    if (it == entries.end()) return std::nullopt;
+    if (it->taker_gets.value < fill.gets) return std::nullopt;
 
+    ConsumedOffer consumed{*it, static_cast<std::size_t>(it - entries.begin())};
     it->taker_gets.value = it->taker_gets.value - fill.gets;
     it->taker_pays.value = it->taker_pays.value - fill.pays;
     if (it->taker_gets.value.is_zero() || it->taker_gets.value.is_negative()) {
         entries.erase(it);
     }
-    static obs::Counter& consumed = obs::counter("paths.offers_consumed");
-    consumed.add();
-    return true;
+    static obs::Counter& consumed_count = obs::counter("paths.offers_consumed");
+    consumed_count.add();
+    return consumed;
 }
 
-void restore_fill(LedgerState& ledger, const BookKey& key, const Fill& fill) {
+void restore_offer(LedgerState& ledger, const BookKey& key,
+                   const ConsumedOffer& consumed) {
     auto& entries = ledger.book_mutable(key);
-    const auto it = std::find_if(entries.begin(), entries.end(),
-                                 [&](const Offer& o) { return o.id == fill.offer_id; });
-    if (it != entries.end()) {
-        it->taker_gets.value = it->taker_gets.value + fill.gets;
-        it->taker_pays.value = it->taker_pays.value + fill.pays;
-        return;
+    XRPL_ASSERT(consumed.position <= entries.size(),
+                "an offer is restored into the book its fill left");
+    const auto at = entries.begin() + static_cast<std::ptrdiff_t>(consumed.position);
+    if (at != entries.end() && at->id == consumed.before.id) {
+        *at = consumed.before;  // partially consumed: still in its place
+    } else {
+        entries.insert(at, consumed.before);  // fully consumed: removed
     }
-    // The offer was fully consumed and removed: re-insert the restored
-    // remainder with its original id, keeping the book sorted.
-    Offer offer;
-    offer.id = fill.offer_id;
-    offer.owner = fill.owner;
-    offer.taker_pays = Amount{key.pays, fill.pays};
-    offer.taker_gets = Amount{key.gets, fill.gets};
-    const auto pos = std::upper_bound(
-        entries.begin(), entries.end(), offer,
-        [](const Offer& a, const Offer& b) { return a.rate() < b.rate(); });
-    entries.insert(pos, offer);
-}
-
-const Offer* find_offer(const LedgerState& ledger, const BookKey& key,
-                        std::uint64_t id) {
-    for (const Offer& offer : ledger.book(key)) {
-        if (offer.id == id) return &offer;
-    }
-    return nullptr;
-}
-
-void restore_offer(LedgerState& ledger, const BookKey& key, const Offer& before) {
-    auto& entries = ledger.book_mutable(key);
-    const auto it = std::find_if(entries.begin(), entries.end(),
-                                 [&](const Offer& o) { return o.id == before.id; });
-    if (it != entries.end()) {
-        *it = before;
-        return;
-    }
-    const auto pos = std::upper_bound(
-        entries.begin(), entries.end(), before,
-        [](const Offer& a, const Offer& b) { return a.rate() < b.rate(); });
-    entries.insert(pos, before);
 }
 
 std::vector<MakerShare> maker_concentration(const LedgerState& ledger) {

@@ -1,11 +1,14 @@
-// Order-book operations: quoting and crossing offers.
+// Order-book operations: planning and crossing offers.
 //
-// Offers live in the LedgerState; this module implements the taker
-// side — walking a book best-rate-first, consuming offers (partially
-// or fully), and undoing consumption when a payment aborts. Market
-// Makers are simply the accounts that own offers (paper §III-C).
+// Offers live in the LedgerState, each book sorted best rate first;
+// this module implements the taker side — planning fills down a book,
+// consuming one offer (partially or fully) per fill, and undoing a
+// consumption byte-exactly when a payment aborts. Readers that only
+// look at a book use LedgerState::book(). Market Makers are simply
+// the accounts that own offers (paper §III-C).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_set>
@@ -23,14 +26,6 @@ struct Fill {
     ledger::IouAmount gets;           // what the taker receives (gets currency)
 };
 
-/// Read side: best available rate, or nullopt for an empty book.
-[[nodiscard]] std::optional<double> best_rate(const ledger::LedgerState& ledger,
-                                              const ledger::BookKey& key);
-
-/// Total `gets` liquidity in the book (ignoring rate).
-[[nodiscard]] ledger::IouAmount book_depth(const ledger::LedgerState& ledger,
-                                           const ledger::BookKey& key);
-
 /// Plan fills to obtain `gets_target` from the book, best rate first,
 /// WITHOUT mutating the book. Owners in `excluded` are skipped (the
 /// Market-Maker-removal replay). The plan may cover less than the
@@ -40,29 +35,26 @@ struct Fill {
     ledger::IouAmount gets_target,
     const std::unordered_set<ledger::AccountID>& excluded = {});
 
-/// Apply a planned fill: shrink (or remove) the offer in the book.
-/// Returns false if the offer no longer has the planned liquidity.
-[[nodiscard]] bool consume_fill(ledger::LedgerState& ledger,
-                                const ledger::BookKey& key, const Fill& fill);
+/// An offer as it stood before a fill consumed it, and its position
+/// in the book: what restore_offer needs to undo the fill exactly.
+struct ConsumedOffer {
+    ledger::Offer before;
+    std::size_t position = 0;
+};
 
-/// Undo a consumed fill: restore the liquidity to the offer (re-adding
-/// the offer if it had been fully consumed). NOTE: fill.pays is the
-/// taker-side recomputation of the price, so this restore is exact
-/// only up to decimal rounding; rollback paths that must be byte-exact
-/// snapshot the offer and use restore_offer instead.
-void restore_fill(ledger::LedgerState& ledger, const ledger::BookKey& key,
-                  const Fill& fill);
+/// Apply a planned fill: shrink the offer, or remove it from the book
+/// if the fill takes all of it. Returns the offer as it was and where
+/// it stood, or nullopt, with the book untouched, if the offer is gone
+/// or no longer has the planned liquidity.
+[[nodiscard]] std::optional<ConsumedOffer> consume_fill(ledger::LedgerState& ledger,
+                                                        const ledger::BookKey& key,
+                                                        const Fill& fill);
 
-/// The current state of offer `id` in the book, or nullptr.
-[[nodiscard]] const ledger::Offer* find_offer(const ledger::LedgerState& ledger,
-                                              const ledger::BookKey& key,
-                                              std::uint64_t id);
-
-/// Byte-exact restore: put `before` back (overwriting the surviving
-/// entry with the same id, or re-inserting it sorted if it was fully
-/// consumed and removed).
+/// Undo a consume_fill, byte-exactly: write the offer back at its
+/// position (re-inserting it there if the fill removed it). Fills must
+/// be undone in reverse order, so the book is as that fill left it.
 void restore_offer(ledger::LedgerState& ledger, const ledger::BookKey& key,
-                   const ledger::Offer& before);
+                   const ConsumedOffer& consumed);
 
 /// The distinct owners (Market Makers) quoting in any book, ranked by
 /// number of offers placed — the paper's "50% of offers come from 10

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "util/contract.hpp"
 
@@ -36,7 +38,7 @@ XrpAmount to_drops(const IouAmount& xrp_value) noexcept {
 void PaymentEngine::rollback(const Journal& journal) {
     // Undo in strict reverse order of application.
     for (auto it = journal.fills.rbegin(); it != journal.fills.rend(); ++it) {
-        restore_offer(*ledger_, it->key, it->before);
+        restore_offer(*ledger_, it->key, it->consumed);
     }
     for (auto it = journal.xrp.rbegin(); it != journal.xrp.rend(); ++it) {
         ledger::AccountRoot* from = ledger_->account(it->from);
@@ -74,6 +76,13 @@ bool PaymentEngine::send_along_path(const TrustPath& path, IouAmount amount,
     return true;
 }
 
+bool PaymentEngine::cross_fill(const BookKey& key, const Fill& fill, Journal& journal) {
+    std::optional<ConsumedOffer> consumed = consume_fill(*ledger_, key, fill);
+    if (!consumed) return false;
+    journal.fills.push_back(OfferSnapshot{key, std::move(*consumed)});
+    return true;
+}
+
 bool PaymentEngine::send_xrp(const AccountID& from, const AccountID& to,
                              IouAmount amount, Journal& journal) {
     const XrpAmount drops = to_drops(amount);
@@ -102,10 +111,7 @@ bool PaymentEngine::deliver_same_currency(const AccountID& from, const AccountID
     IouAmount remaining = amount;
     std::size_t used = 0;
     while (!effectively_zero(remaining, amount) && used < max_paths) {
-        const std::optional<TrustPath> path =
-            config_.strategy == PathStrategy::kWidestFirst
-                ? widest_finder_.find(graph_, from, to, currency)
-                : finder_.find(graph_, from, to, currency);
+        const std::optional<TrustPath> path = finder_.find(graph_, from, to, currency);
         if (!path) return false;
 
         const IouAmount send = path->capacity < remaining ? path->capacity : remaining;
@@ -126,8 +132,6 @@ bool PaymentEngine::deliver_same_currency(const AccountID& from, const AccountID
 
 bool PaymentEngine::deliver_cross_currency(const PaymentRequest& request,
                                            Journal& journal, TxResult& result) {
-    if (!config_.allow_order_books) return false;
-
     const Currency src_currency = request.source_currency;
     const Currency dst_currency = request.deliver.currency;
     const IouAmount target = request.deliver.value;
@@ -140,31 +144,15 @@ bool PaymentEngine::deliver_cross_currency(const PaymentRequest& request,
     for (const Fill& fill : plan) planned = planned + fill.gets;
 
     if (effectively_zero(target - planned, target) && !plan.empty()) {
-        bool ok = true;
         for (const Fill& fill : plan) {
             TxResult leg1;
             TxResult leg2;
             if (!deliver_same_currency(request.sender, fill.owner, fill.pays,
-                                       src_currency, 2, journal, leg1)) {
-                ok = false;
-                break;
-            }
-            const ledger::Offer* before =
-                find_offer(*ledger_, direct_key, fill.offer_id);
-            if (before == nullptr) {
-                ok = false;
-                break;
-            }
-            const OfferSnapshot snapshot{direct_key, *before};
-            if (!consume_fill(*ledger_, direct_key, fill)) {
-                ok = false;
-                break;
-            }
-            journal.fills.push_back(snapshot);
-            if (!deliver_same_currency(fill.owner, request.destination, fill.gets,
+                                       src_currency, 2, journal, leg1) ||
+                !cross_fill(direct_key, fill, journal) ||
+                !deliver_same_currency(fill.owner, request.destination, fill.gets,
                                        dst_currency, 2, journal, leg2)) {
-                ok = false;
-                break;
+                return false;
             }
             // One "parallel path" per offer crossed; its length is the
             // two trust legs plus the Market Maker itself.
@@ -180,15 +168,12 @@ bool PaymentEngine::deliver_cross_currency(const PaymentRequest& request,
                                          leg2.intermediaries.begin(),
                                          leg2.intermediaries.end());
         }
-        if (ok) {
-            result.used_order_book = true;
-            return true;
-        }
-        return false;
+        result.used_order_book = true;
+        return true;
     }
 
     // --- attempt 2: the XRP auto-bridge src -> XRP -> dst -------------
-    if (!config_.allow_xrp_bridge || src_currency.is_xrp() || dst_currency.is_xrp()) {
+    if (src_currency.is_xrp() || dst_currency.is_xrp()) {
         return false;
     }
     return deliver_via_xrp_bridge(request.sender, request.destination, target,
@@ -228,11 +213,7 @@ bool PaymentEngine::deliver_via_xrp_bridge(
                                    journal, leg)) {
             return false;
         }
-        const ledger::Offer* before = find_offer(*ledger_, in_key, fill.offer_id);
-        if (before == nullptr) return false;
-        const OfferSnapshot snapshot{in_key, *before};
-        if (!consume_fill(*ledger_, in_key, fill)) return false;
-        journal.fills.push_back(snapshot);
+        if (!cross_fill(in_key, fill, journal)) return false;
         // The maker hands the taker XRP; route it through the sender's
         // own XRP balance so every move is a plain balance transfer.
         if (!send_xrp(fill.owner, sender, fill.gets, journal)) return false;
@@ -246,13 +227,9 @@ bool PaymentEngine::deliver_via_xrp_bridge(
     std::uint32_t max_out_hops = 0;
     for (const Fill& fill : out_plan) {
         TxResult leg;
-        if (!send_xrp(sender, fill.owner, fill.pays, journal)) return false;
-        const ledger::Offer* before = find_offer(*ledger_, out_key, fill.offer_id);
-        if (before == nullptr) return false;
-        const OfferSnapshot snapshot{out_key, *before};
-        if (!consume_fill(*ledger_, out_key, fill)) return false;
-        journal.fills.push_back(snapshot);
-        if (!deliver_same_currency(fill.owner, destination, fill.gets,
+        if (!send_xrp(sender, fill.owner, fill.pays, journal) ||
+            !cross_fill(out_key, fill, journal) ||
+            !deliver_same_currency(fill.owner, destination, fill.gets,
                                    dst_currency, 2, journal, leg)) {
             return false;
         }
@@ -272,8 +249,13 @@ bool PaymentEngine::deliver_via_xrp_bridge(
 }
 
 TxResult PaymentEngine::execute(const PaymentRequest& request) {
-    TxResult result;
-    result.cross_currency = request.cross_currency();
+    // What a payment that moved nothing reports.
+    const auto unsent = [&request] {
+        TxResult fresh;
+        fresh.cross_currency = request.cross_currency();
+        return fresh;
+    };
+    TxResult result = unsent();
 
     if (graph_.is_excluded(request.sender) ||
         graph_.is_excluded(request.destination)) {
@@ -288,18 +270,15 @@ TxResult PaymentEngine::execute(const PaymentRequest& request) {
     if (!request.cross_currency()) {
         ok = deliver_same_currency(request.sender, request.destination,
                                    request.deliver.value, request.deliver.currency,
-                                   config_.max_parallel_paths, journal, result);
-        if (!ok && config_.allow_order_books && config_.allow_xrp_bridge &&
-            !request.deliver.currency.is_xrp()) {
+                                   kMaxParallelPaths, journal, result);
+        if (!ok && !request.deliver.currency.is_xrp()) {
             // No usable trust path: same-currency payments can still
             // clear through Market-Maker offers (currency -> XRP ->
             // same currency), effectively converting one issuer's IOUs
             // into another's.
             rollback(journal);
             journal = Journal{};
-            result.parallel_paths = 0;
-            result.intermediate_hops = 0;
-            result.intermediaries.clear();
+            result = unsent();
             ok = deliver_via_xrp_bridge(
                 request.sender, request.destination, request.deliver.value,
                 request.deliver.currency, request.deliver.currency, journal,
@@ -311,12 +290,7 @@ TxResult PaymentEngine::execute(const PaymentRequest& request) {
 
     if (!ok) {
         rollback(journal);
-        result.success = false;
-        result.parallel_paths = 0;
-        result.intermediate_hops = 0;
-        result.used_order_book = false;
-        result.intermediaries.clear();
-        return result;
+        return unsent();
     }
 
     result.success = true;
@@ -324,7 +298,7 @@ TxResult PaymentEngine::execute(const PaymentRequest& request) {
 
     // Burn the fee if the sender can afford it (fees are destroyed,
     // never redistributed — paper §III-A).
-    ledger_->burn_fee(request.sender, config_.fee);
+    ledger_->burn_fee(request.sender, ledger::kBaseFee);
     if (ledger::AccountRoot* sender = ledger_->account(request.sender)) {
         ++sender->sequence;
     }
@@ -386,7 +360,7 @@ TxResult PaymentEngine::execute_along(
 
     result.success = true;
     result.delivered = request.deliver;
-    ledger_->burn_fee(request.sender, config_.fee);
+    ledger_->burn_fee(request.sender, ledger::kBaseFee);
     if (ledger::AccountRoot* sender = ledger_->account(request.sender)) {
         ++sender->sequence;
     }
@@ -414,14 +388,13 @@ TxResult PaymentEngine::apply(const Transaction& tx) {
             const XrpAmount drops = to_drops(tx.amount.value);
             const ledger::AccountRoot* sender = ledger_->account(tx.sender);
             if (sender == nullptr || drops.drops <= 0 ||
-                sender->balance.drops < drops.drops + config_.fee.drops) {
+                sender->balance.drops < drops.drops + ledger::kBaseFee.drops) {
                 break;
             }
             if (!ledger_->account(tx.destination)) {
                 ledger_->create_account(tx.destination, XrpAmount{0});
             }
-            result.success = ledger_->xrp_payment(tx.sender, tx.destination, drops,
-                                                  config_.fee);
+            result.success = ledger_->xrp_payment(tx.sender, tx.destination, drops);
             if (result.success) result.delivered = tx.amount;
             break;
         }

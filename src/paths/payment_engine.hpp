@@ -9,11 +9,17 @@
 //     through the direct order book or auto-bridged through XRP
 //     (§III-C).
 //
+// One configuration: up to kMaxParallelPaths shortest trust paths per
+// payment (PathFinder's default caps), order books and the XRP bridge
+// always allowed, ledger::kBaseFee burned per successful transaction.
+//
 // Payments are all-or-nothing: every state mutation is journaled and
-// rolled back if the full amount cannot be delivered.
+// rolled back if the full amount cannot be delivered. Every offer is
+// crossed through cross_fill, which journals the offer as it was and
+// its place in the book, so a rollback restores the book exactly.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -22,7 +28,6 @@
 #include "paths/order_book.hpp"
 #include "paths/path_finder.hpp"
 #include "paths/trust_graph.hpp"
-#include "paths/widest_path.hpp"
 
 namespace xrpl::paths {
 
@@ -41,34 +46,15 @@ struct PaymentRequest {
     }
 };
 
-/// Which trust-path search the engine uses (DESIGN.md §6 ablation).
-enum class PathStrategy : std::uint8_t {
-    kShortestFirst,  // BFS: fewest intermediaries (rippled-like)
-    kWidestFirst,    // max-bottleneck Dijkstra: fewest parallel paths
-};
-
-struct EngineConfig {
-    /// Cap on parallel paths per payment (the paper observes up to 6).
-    std::size_t max_parallel_paths = 6;
-    PathFinderConfig path;
-    PathStrategy strategy = PathStrategy::kShortestFirst;
-    /// Allow crossing Market-Maker offers.
-    bool allow_order_books = true;
-    /// Allow the two-book XRP auto-bridge for cross-currency payments.
-    bool allow_xrp_bridge = true;
-    /// Flat fee burned per transaction, in drops.
-    ledger::XrpAmount fee{10};
-};
-
 /// Executes payments against a LedgerState.
 class PaymentEngine {
 public:
-    explicit PaymentEngine(ledger::LedgerState& ledger, EngineConfig config = {})
-        : ledger_(&ledger),
-          graph_(ledger),
-          finder_(config.path),
-          widest_finder_(config.path),
-          config_(config) {}
+    /// Cap on parallel trust paths per payment (the paper observes up
+    /// to 6).
+    static constexpr std::size_t kMaxParallelPaths = 6;
+
+    explicit PaymentEngine(ledger::LedgerState& ledger)
+        : ledger_(&ledger), graph_(ledger) {}
 
     /// Execute a payment request. On failure the ledger state is
     /// exactly as before the call (minus nothing: even the fee is only
@@ -94,7 +80,6 @@ public:
     [[nodiscard]] TrustGraph& graph() noexcept { return graph_; }
     [[nodiscard]] const TrustGraph& graph() const noexcept { return graph_; }
 
-    [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
     [[nodiscard]] ledger::LedgerState& ledger() noexcept { return *ledger_; }
 
 private:
@@ -111,11 +96,12 @@ private:
         ledger::AccountID to;
         ledger::XrpAmount amount;
     };
-    /// Byte-exact snapshot of an offer taken before it is consumed,
-    /// so rollback restores the book without decimal re-rounding.
+    /// An offer as it was before a fill consumed it, and its place in
+    /// the book, so rollback restores the book without decimal
+    /// re-rounding or reordering.
     struct OfferSnapshot {
         ledger::BookKey key;
-        ledger::Offer before;
+        ConsumedOffer consumed;
     };
     struct Journal {
         std::vector<LineTransfer> lines;
@@ -129,6 +115,11 @@ private:
     /// call) on failure.
     bool send_along_path(const TrustPath& path, ledger::IouAmount amount,
                          Journal& journal);
+
+    /// Cross one planned fill: consume it from the book and journal the
+    /// offer as it was. Fails (nothing journaled) if the offer no longer
+    /// has the planned liquidity.
+    bool cross_fill(const ledger::BookKey& key, const Fill& fill, Journal& journal);
 
     /// Raw XRP move (no fee), journaled. Fails on insufficient funds.
     bool send_xrp(const ledger::AccountID& from, const ledger::AccountID& to,
@@ -163,8 +154,6 @@ private:
     ledger::LedgerState* ledger_;
     TrustGraph graph_;
     PathFinder finder_;
-    WidestPathFinder widest_finder_;
-    EngineConfig config_;
 };
 
 }  // namespace xrpl::paths

@@ -3,11 +3,11 @@
 //
 // Call sites never touch env_u64/getenv directly (the `no-adhoc-env`
 // lint rule bans it outside src/util): they read a typed field off
-// `util::options()`, which parses the whole environment once, or off
-// `Options::from_env()` where re-reading matters (the shared pool's
-// width probe). Every knob is declared exactly once in the
-// kOptionTable below, so the README's option table, the strict
-// parsers, and the struct fields cannot drift apart.
+// `util::options()`, which parses the whole environment once per
+// process, so each malformed or unknown variable is warned about
+// once. Every knob is declared exactly once in the kOptionTable
+// below, so the README's option table, the strict parsers, and the
+// struct fields cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -58,9 +58,8 @@ struct Options {
 };
 
 /// The process-wide options, parsed once on first use. Benches, tools,
-/// and steady-state library code read this; only code that documents
-/// re-read semantics (ThreadPool::configured_parallelism) goes back to
-/// from_env().
+/// and library code (the shared pool's width) read this; from_env()
+/// is for tests that vary the environment.
 [[nodiscard]] const Options& options();
 
 /// One row per knob — the machine-readable registry behind the README

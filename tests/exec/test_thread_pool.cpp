@@ -1,17 +1,21 @@
 // ThreadPool semantics: exactly-once execution, caller participation,
-// nesting, exception propagation, and the XRPL_THREADS knob. The
-// stress cases exist for the tsan preset — tools/tier2.sh runs this
-// suite under ThreadSanitizer, where any bookkeeping race in the pool
-// would surface.
+// nesting, exception propagation, the scoped width override, and the
+// XRPL_THREADS knob that sizes the shared pool. The stress cases exist
+// for the tsan preset — tools/tier2.sh runs this suite under
+// ThreadSanitizer, where any bookkeeping race in the pool would
+// surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "util/options.hpp"
 
 namespace xrpl::exec {
 namespace {
@@ -97,23 +101,31 @@ TEST(ThreadPoolTest, ScopedParallelismOverridesSharedPool) {
 }
 
 TEST(ThreadPoolTest, ConfiguredParallelismParsesXrplThreads) {
+    // The shared pool is as wide as the process's parsed XRPL_THREADS.
+    EXPECT_EQ(ThreadPool::shared().parallelism(), util::options().threads);
+
+    // The suite may run under an XRPL_THREADS pin; restore it after.
+    const char* pinned = std::getenv("XRPL_THREADS");
+    const std::optional<std::string> saved =
+        pinned != nullptr ? std::optional<std::string>(pinned) : std::nullopt;
+
     ::setenv("XRPL_THREADS", "3", 1);
-    EXPECT_EQ(ThreadPool::configured_parallelism(), 3u);
+    EXPECT_EQ(util::Options::from_env().threads, 3u);
 
     // Malformed and zero values fall back to the hardware default.
-    const std::size_t hardware = []() {
-        ::unsetenv("XRPL_THREADS");
-        return ThreadPool::configured_parallelism();
-    }();
-    EXPECT_GE(hardware, 1u);
-
-    ::setenv("XRPL_THREADS", "0", 1);
-    EXPECT_EQ(ThreadPool::configured_parallelism(), hardware);
-    ::setenv("XRPL_THREADS", "4cores", 1);
-    EXPECT_EQ(ThreadPool::configured_parallelism(), hardware);
-    ::setenv("XRPL_THREADS", "-2", 1);
-    EXPECT_EQ(ThreadPool::configured_parallelism(), hardware);
     ::unsetenv("XRPL_THREADS");
+    const std::size_t hardware = util::Options::from_env().threads;
+    EXPECT_GE(hardware, 1u);
+    for (const char* threads : {"0", "4cores", "-2"}) {
+        ::setenv("XRPL_THREADS", threads, 1);
+        EXPECT_EQ(util::Options::from_env().threads, hardware) << threads;
+    }
+
+    if (saved) {
+        ::setenv("XRPL_THREADS", saved->c_str(), 1);
+    } else {
+        ::unsetenv("XRPL_THREADS");
+    }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // all-or-nothing semantics over randomized worlds and workloads.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -77,38 +79,38 @@ World build_world(std::uint64_t seed) {
     return world;
 }
 
-/// Digest of all balances and offers — detects ANY state change.
+/// Digest of all balances and offers — detects ANY state change: every
+/// account's XRP, every line balance (mantissa and exponent), and each
+/// book in order, offer by offer (id, owner, both amounts).
 std::string state_digest(const LedgerState& state) {
     util::Sha256 hasher;
-    for (std::size_t i = 0; i < state.account_count(); ++i) {
-        const AccountID& id = state.account_by_index(static_cast<std::uint32_t>(i));
-        const ledger::AccountRoot* root = state.account(id);
-        hasher.update(id.bytes);
-        const auto drops = static_cast<std::uint64_t>(root->balance.drops);
+    const auto put = [&hasher](std::int64_t value) {
+        const auto bits = static_cast<std::uint64_t>(value);
         std::array<std::uint8_t, 8> buf;
         for (int b = 0; b < 8; ++b) {
             buf[static_cast<std::size_t>(b)] =
-                static_cast<std::uint8_t>(drops >> (8 * b));
+                static_cast<std::uint8_t>(bits >> (8 * b));
         }
         hasher.update(buf);
+    };
+    const auto put_amount = [&put](const IouAmount& amount) {
+        put(amount.mantissa());
+        put(amount.exponent());
+    };
+    for (std::size_t i = 0; i < state.account_count(); ++i) {
+        const AccountID& id = state.account_by_index(static_cast<std::uint32_t>(i));
+        hasher.update(id.bytes);
+        put(state.account(id)->balance.drops);
         for (const ledger::TrustLine* line : state.lines_of(id)) {
-            const auto m = static_cast<std::uint64_t>(line->balance().mantissa());
-            for (int b = 0; b < 8; ++b) {
-                buf[static_cast<std::size_t>(b)] =
-                    static_cast<std::uint8_t>(m >> (8 * b));
-            }
-            hasher.update(buf);
+            put_amount(line->balance());
         }
     }
     for (const auto& [key, offers] : state.books()) {
         for (const ledger::Offer& offer : offers) {
-            std::array<std::uint8_t, 8> buf;
-            const auto m = static_cast<std::uint64_t>(offer.taker_gets.value.mantissa());
-            for (int b = 0; b < 8; ++b) {
-                buf[static_cast<std::size_t>(b)] =
-                    static_cast<std::uint8_t>(m >> (8 * b));
-            }
-            hasher.update(buf);
+            put(static_cast<std::int64_t>(offer.id));
+            hasher.update(offer.owner.bytes);
+            put_amount(offer.taker_pays.value);
+            put_amount(offer.taker_gets.value);
         }
     }
     return util::to_hex(hasher.finish());
@@ -207,6 +209,32 @@ TEST_P(EngineProperty, SuccessfulResultsReportWhatHappened) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// One seeded case the random workloads cannot reach, since no user
+// holds enough to take a whole offer: a USD->EUR payment fully consumes
+// maker 0's offer, ahead of three at the same rate, and then fails on
+// the leg to a destination without an EUR line.
+TEST(EngineRollbackTest, FailedCrossThroughEqualRateOffersLeavesNoTrace) {
+    World world = build_world(21);
+    const AccountID whale = AccountID::from_seed("pw:whale");
+    const AccountID no_eur = AccountID::from_seed("pw:no-eur");
+    world.state.create_account(whale, XrpAmount::from_xrp(1'000));
+    world.state.create_account(no_eur, XrpAmount::from_xrp(1'000));
+    ledger::TrustLine& line = world.state.set_trust(
+        whale, world.gateways.front(), kUsd, IouAmount::from_double(1e9));
+    ASSERT_TRUE(line.transfer_from(world.gateways.front(),
+                                   IouAmount::from_double(2e5)));
+
+    PaymentRequest request;
+    request.sender = whale;
+    request.destination = no_eur;
+    request.deliver = Amount::iou(kEur, 1e5);  // all of maker 0's offer
+    request.source_currency = kUsd;
+    const std::string before = state_digest(world.state);
+    PaymentEngine engine(world.state);
+    EXPECT_FALSE(engine.execute(request).success);
+    EXPECT_EQ(state_digest(world.state), before);
+}
 
 }  // namespace
 }  // namespace xrpl::paths

@@ -244,26 +244,46 @@ TEST_F(PaymentEngineTest, CrossCurrencyViaXrpAutoBridge) {
                 100.0, 1e-6);
 }
 
-TEST_F(PaymentEngineTest, BridgeDisabledByConfig) {
+TEST_F(PaymentEngineTest, FailedCrossRestoresTheBookInOrder) {
+    // Two equal-rate USD->EUR offers. The payment's plan takes all of
+    // offer 1, and then the leg from its maker to the merchant fails:
+    // maker 1 can take USD but holds no EUR. Rollback must put offer 1
+    // back where it was, ahead of offer 2, not behind it.
     const AccountID user = add("user");
     const AccountID g_usd = add("g-usd");
     const AccountID g_eur = add("g-eur");
-    const AccountID maker1 = add("maker1", 1e6);
-    const AccountID maker2 = add("maker2", 1e6);
+    const AccountID maker1 = add("maker1");
+    const AccountID maker2 = add("maker2");
     const AccountID merchant = add("merchant");
     fund(g_usd, user, kUsd, 500.0);
-    fund(g_usd, maker1, kUsd, 1000.0);
+    edge(g_usd, maker1, kUsd, 1e6);
+    edge(g_usd, maker2, kUsd, 1e6);
     fund(g_eur, maker2, kEur, 1000.0);
     edge(g_eur, merchant, kEur, 1e6);
-    state_.place_offer(maker1, Amount::iou(kUsd, 150.0),
-                       Amount::iou(kXrp, 15'000.0));
-    state_.place_offer(maker2, Amount::iou(kXrp, 13'000.0),
-                       Amount::iou(kEur, 100.0));
+    const ledger::BookKey key{kUsd, kEur};
+    ASSERT_EQ(state_.place_offer(maker1, Amount::iou(kUsd, 130.0),
+                                 Amount::iou(kEur, 100.0)),
+              1u);
+    ASSERT_EQ(state_.place_offer(maker2, Amount::iou(kUsd, 130.0),
+                                 Amount::iou(kEur, 100.0)),
+              2u);
+    const std::vector<ledger::Offer> before = state_.book(key);
 
-    EngineConfig config;
-    config.allow_xrp_bridge = false;
-    PaymentEngine engine(state_, config);
+    PaymentEngine engine(state_);
     EXPECT_FALSE(engine.execute(request(user, merchant, kEur, 100.0, kUsd)).success);
+
+    const std::vector<ledger::Offer>& after = state_.book(key);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(after[i].id, before[i].id) << "position " << i;
+        EXPECT_EQ(after[i].owner, before[i].owner) << "position " << i;
+        EXPECT_EQ(after[i].taker_pays.value, before[i].taker_pays.value);
+        EXPECT_EQ(after[i].taker_gets.value, before[i].taker_gets.value);
+    }
+    // The USD the user paid maker 1 came back too.
+    EXPECT_NEAR(
+        state_.trustline(user, g_usd, kUsd)->balance_for(user).to_double(), 500.0,
+        1e-9);
 }
 
 TEST_F(PaymentEngineTest, XrpSourcedCrossCurrencyPayment) {

@@ -108,9 +108,11 @@ TEST_F(WidestPathTest, RespectsDepthCap) {
     EXPECT_FALSE(capped.find(graph, chain.front(), chain.back(), kUsd).has_value());
 }
 
-TEST_F(WidestPathTest, EngineWithWidestStrategyNeedsFewerPaths) {
-    // A payment of 90: the BFS engine burns through three thin direct
-    // routes; the widest engine takes the single fat route.
+TEST_F(WidestPathTest, WidestFinderNeedsFewerPathsThanBfs) {
+    // A payment of 90 over three thin direct routes (40 each) and one
+    // fat route (500): the first BFS path carries 40, so the engine,
+    // which searches shortest-first, splits the payment over three
+    // paths; the first widest path carries all of it.
     const AccountID user = add("user");
     const AccountID merchant = add("merchant");
     const AccountID g1 = add("g1");
@@ -130,29 +132,26 @@ TEST_F(WidestPathTest, EngineWithWidestStrategyNeedsFewerPaths) {
     edge(fat, fat2, 500.0);
     edge(fat2, merchant, 500.0);
 
+    const TrustGraph graph(state_);
+    PathFinder shortest;
+    const auto thin = shortest.find(graph, user, merchant, kUsd);
+    ASSERT_TRUE(thin.has_value());
+    EXPECT_EQ(thin->intermediate_hops(), 1u);
+    EXPECT_NEAR(thin->capacity.to_double(), 40.0, 1e-9);
+    const auto wide = finder_.find(graph, user, merchant, kUsd);
+    ASSERT_TRUE(wide.has_value());
+    EXPECT_EQ(wide->intermediate_hops(), 2u);
+    EXPECT_NEAR(wide->capacity.to_double(), 500.0, 1e-9);
+
     PaymentRequest request;
     request.sender = user;
     request.destination = merchant;
     request.deliver = ledger::Amount::iou(kUsd, 90.0);
     request.source_currency = kUsd;
-
-    {
-        LedgerState world = state_.clone();
-        PaymentEngine engine(world);  // shortest-first default
-        const auto result = engine.execute(request);
-        ASSERT_TRUE(result.success);
-        EXPECT_GE(result.parallel_paths, 3u);
-    }
-    {
-        LedgerState world = state_.clone();
-        EngineConfig config;
-        config.strategy = PathStrategy::kWidestFirst;
-        PaymentEngine engine(world, config);
-        const auto result = engine.execute(request);
-        ASSERT_TRUE(result.success);
-        EXPECT_EQ(result.parallel_paths, 1u);
-        EXPECT_EQ(result.intermediate_hops, 2u);
-    }
+    PaymentEngine engine(state_);
+    const auto result = engine.execute(request);
+    ASSERT_TRUE(result.success);
+    EXPECT_GE(result.parallel_paths, 3u);
 }
 
 }  // namespace

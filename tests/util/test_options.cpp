@@ -108,11 +108,17 @@ TEST_F(OptionsTest, ObsExplicitDistinguishesZeroFromAbsent) {
 }
 
 TEST_F(OptionsTest, MalformedValuesFallBack) {
-    ::setenv("XRPL_THREADS", "lots", 1);
+    const std::size_t hardware = Options::from_env().threads;
+    EXPECT_GE(hardware, 1u);
+    // Zero, and anything but a whole positive number, falls back to
+    // the hardware default.
+    for (const char* threads : {"lots", "0", "4cores", "-2"}) {
+        ::setenv("XRPL_THREADS", threads, 1);
+        EXPECT_EQ(Options::from_env().threads, hardware) << threads;
+    }
     ::setenv("XRPL_OBS", "yes", 1);
     ::setenv("XRPL_BENCH_PAYMENTS", "-5", 1);
     const Options opts = Options::from_env();
-    EXPECT_GE(opts.threads, 1u);
     EXPECT_FALSE(opts.obs);  // strict flag: only "0"/"1" parse
     EXPECT_EQ(opts.bench_payments, 250'000u);
 }

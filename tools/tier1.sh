@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: lint, configure, build, and run the full test
-# suite. Warnings are errors here; the plain `cmake -B build` path
-# stays permissive for exotic compilers.
+# Tier-1 verification, and CI's tier1 job: lint, configure, build, and
+# run the full test suite, then the width, XCOL, obs and perfbench
+# smoke checks below. Warnings are errors here; the plain
+# `cmake -B build` path stays permissive for exotic compilers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 python3 tools/lint.py
@@ -19,8 +20,7 @@ cd build && ctest --output-on-failure -j
 # mitigation / clustering / spam values) must hold at every pool width
 # too, and FingerprintGroupsTest checks the bucketed fingerprint sort
 # against one whole-array sort.
-# The suites are listed once, in tools/golden_suites.filter, which CI's
-# width step reads too.
+# The suites are listed once, in tools/golden_suites.filter.
 golden_filter=$(grep '^[^#]' ../tools/golden_suites.filter | paste -sd: -)
 for width in 1 8; do
   echo "--- determinism + golden suites at XRPL_THREADS=${width} ---"
@@ -75,9 +75,9 @@ print("obs smoke run OK:", len(obs["counters"]), "counters,",
       len(obs["histograms"]), "histograms, warm pass cache-served")
 EOF
 rm -rf "${obs_dir}"
-# Benchmark smoke, the same step as CI's tier1 job: builds perfbench/
-# against this tree's src/ (Release, in .bench_build/) and runs every
-# workload at tiny size, so a change to the ledger, engine or obs
-# calls the benchmark makes fails here rather than in a benchmark run.
+# Benchmark smoke: builds perfbench/ against this tree's src/
+# (Release, in .bench_build/) and runs every workload at tiny size, so
+# a change to the ledger, engine or obs calls the benchmark makes fails
+# here rather than in a benchmark run.
 echo "--- perfbench smoke ---"
 python3 ../perfbench/check.py smoke
