@@ -7,9 +7,9 @@
 // the sweep asserts the identical part too (sizes + last close), so
 // a perf regression can't hide behind a silent output drift.
 //
-// Knobs: XRPL_BENCH_DATAGEN_PAYMENTS (default 100,000) sizes the
-// history; the slice width is fixed at target/16 so even the widest
-// pool has two slices per worker to balance.
+// The history is 100,000 payments; the slice width is fixed at
+// target/16 so even the widest pool has two slices per worker to
+// balance.
 #include <iostream>
 #include <vector>
 
@@ -23,7 +23,7 @@ XRPL_BENCH("ext_datagen_scaling", "Extension",
            "datagen thread-scaling sweep") {
     using namespace xrpl;
 
-    const std::uint64_t target = util::options().bench_datagen_payments;
+    constexpr std::uint64_t target = 100'000;
     datagen::GeneratorConfig config;
     config.seed = 20170605;
     config.num_users = 4'000;

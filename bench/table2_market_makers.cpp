@@ -20,7 +20,8 @@ XRPL_BENCH("table2_market_makers", "Table II",
     using namespace xrpl;
     const datagen::GeneratedHistory& history = bench::dataset();
 
-    const std::uint64_t replay_count = util::options().bench_replay_payments;
+    // Replay stream size (the paper's: 1.7 M).
+    constexpr std::uint64_t replay_count = 40'000;
     util::Rng rng = util::RngStream(777).derive("replay").rng();
     // As the paper does, replay the payments "submitted after the
     // snapshot and successfully delivered".

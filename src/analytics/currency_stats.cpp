@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 
@@ -14,26 +13,20 @@ std::unordered_map<ledger::Currency, std::uint64_t> count_currencies(
     scans.add();
     const ledger::PaymentColumns& columns = view.columns();
     const std::size_t offset = view.offset();
-    const exec::ChunkedView chunks(view);
 
     // Partial = counts by interned currency id. The currency dictionary
     // is small (u16 ids), so dense per-chunk vectors beat hash maps.
     using Partial = std::vector<std::uint64_t>;
     const Partial merged = exec::map_reduce<Partial>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
+        view.size(), exec::kDefaultChunkRows,
+        [&](std::size_t begin, std::size_t end) {
             Partial local(columns.currencies.size(), 0);
-            for (std::size_t r = b.begin; r < b.end; ++r) {
+            for (std::size_t r = begin; r < end; ++r) {
                 ++local[columns.currency_id[offset + r]];
             }
             return local;
         },
         [](Partial& acc, Partial&& part) {
-            if (acc.empty()) {
-                acc = std::move(part);
-                return;
-            }
             for (std::size_t i = 0; i < part.size(); ++i) acc[i] += part[i];
         });
 

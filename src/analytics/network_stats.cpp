@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 
@@ -67,15 +66,13 @@ NetworkStats compute_network_stats(const ledger::LedgerState& ledger,
     // the account dictionary.
     const ledger::PaymentColumns& columns = view.columns();
     const std::size_t offset = view.offset();
-    const exec::ChunkedView chunks(view);
     const ActivityPartial merged = exec::map_reduce<ActivityPartial>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
+        view.size(), exec::kDefaultChunkRows,
+        [&](std::size_t begin, std::size_t end) {
             ActivityPartial local;
-            local.sent.reserve(b.end - b.begin);
-            local.touched.reserve(2 * (b.end - b.begin));
-            for (std::size_t r = b.begin; r < b.end; ++r) {
+            local.sent.reserve(end - begin);
+            local.touched.reserve(2 * (end - begin));
+            for (std::size_t r = begin; r < end; ++r) {
                 local.sent.push_back(columns.sender_id[offset + r]);
                 local.touched.push_back(columns.sender_id[offset + r]);
                 local.touched.push_back(columns.dest_id[offset + r]);
@@ -85,10 +82,6 @@ NetworkStats compute_network_stats(const ledger::LedgerState& ledger,
             return local;
         },
         [](ActivityPartial& acc, ActivityPartial&& part) {
-            if (acc.sent.empty() && acc.touched.empty()) {
-                acc = std::move(part);
-                return;
-            }
             acc.sent = sorted_union(acc.sent, part.sent);
             acc.touched = sorted_union(acc.touched, part.touched);
         });

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "ledger/amount.hpp"
 #include "obs/metrics.hpp"
@@ -43,13 +42,11 @@ std::vector<float> amount_samples(ledger::PaymentView view,
     if (!id) return {};
 
     const std::size_t offset = view.offset();
-    const exec::ChunkedView chunks(view);
     return exec::map_reduce<std::vector<float>>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
+        view.size(), exec::kDefaultChunkRows,
+        [&](std::size_t begin, std::size_t end) {
             std::vector<float> local;
-            for (std::size_t r = b.begin; r < b.end; ++r) {
+            for (std::size_t r = begin; r < end; ++r) {
                 if (columns.currency_id[offset + r] == *id) {
                     local.push_back(amount_at(columns, offset + r));
                 }
@@ -57,10 +54,6 @@ std::vector<float> amount_samples(ledger::PaymentView view,
             return local;
         },
         [](std::vector<float>& acc, std::vector<float>&& part) {
-            if (acc.empty()) {
-                acc = std::move(part);
-                return;
-            }
             acc.insert(acc.end(), part.begin(), part.end());
         });
 }

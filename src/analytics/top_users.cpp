@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 
@@ -70,20 +69,18 @@ std::unordered_map<ledger::AccountID, std::uint64_t> sender_activity(
     scans.add();
     const ledger::PaymentColumns& columns = view.columns();
     const std::size_t offset = view.offset();
-    const exec::ChunkedView chunks(view);
 
     // Per-chunk partials stay sparse — (interned id, count) pairs
-    // sorted by id, at most chunk_rows entries — so memory scales with
-    // the chunk, not with the account dictionary. Two sorted runs
-    // merge like a merge sort pass.
+    // sorted by id, at most one per row — so memory scales with the
+    // chunk, not with the account dictionary. Two sorted runs merge
+    // like a merge sort pass.
     using Partial = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
     const Partial merged = exec::map_reduce<Partial>(
-        chunks.chunk_count(),
-        [&](std::size_t c) {
-            const exec::ChunkedView::Bounds b = chunks.bounds(c);
+        view.size(), exec::kDefaultChunkRows,
+        [&](std::size_t begin, std::size_t end) {
             std::unordered_map<std::uint32_t, std::uint64_t> local;
-            local.reserve(b.end - b.begin);
-            for (std::size_t r = b.begin; r < b.end; ++r) {
+            local.reserve(end - begin);
+            for (std::size_t r = begin; r < end; ++r) {
                 ++local[columns.sender_id[offset + r]];
             }
             Partial sparse(local.begin(), local.end());
@@ -91,10 +88,6 @@ std::unordered_map<ledger::AccountID, std::uint64_t> sender_activity(
             return sparse;
         },
         [](Partial& acc, Partial&& part) {
-            if (acc.empty()) {
-                acc = std::move(part);
-                return;
-            }
             Partial combined;
             combined.reserve(acc.size() + part.size());
             std::size_t a = 0;

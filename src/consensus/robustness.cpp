@@ -49,24 +49,7 @@ std::vector<TakeoverResult> takeover_sweep(const PeriodSpec& period,
 
 double close_probability(std::size_t validators, double availability,
                          double quorum) {
-    if (validators == 0) return 0.0;
-    const auto needed = static_cast<std::size_t>(
-        std::ceil(quorum * static_cast<double>(validators)));
-    if (availability >= 1.0) return needed <= validators ? 1.0 : 0.0;
-    if (availability <= 0.0) return needed == 0 ? 1.0 : 0.0;
-    // Binomial tail P(X >= needed), X ~ Bin(validators, availability).
-    double probability = 0.0;
-    double term = std::pow(1.0 - availability, validators);  // P(X = 0)
-    // Iterate k = 0..n using the ratio recurrence to avoid overflow.
-    for (std::size_t k = 0; k <= validators; ++k) {
-        if (k >= needed) probability += term;
-        if (k < validators) {
-            term *= (static_cast<double>(validators - k) /
-                     static_cast<double>(k + 1)) *
-                    (availability / (1.0 - availability));
-        }
-    }
-    return std::min(probability, 1.0);
+    return close_probability_after_takeover(validators, 0, availability, quorum);
 }
 
 double close_probability_after_takeover(std::size_t validators,

@@ -44,7 +44,8 @@ struct TakeoverResult {
 
 /// Probability that a round closes when `validators` independent UNL
 /// members are each up with probability `availability` and quorum is
-/// `quorum` — the analytic binomial tail P(up >= ceil(quorum * n)).
+/// `quorum` — the analytic binomial tail P(up >= ceil(quorum * n)):
+/// close_probability_after_takeover with nobody compromised.
 [[nodiscard]] double close_probability(std::size_t validators,
                                        double availability, double quorum);
 

@@ -1,7 +1,6 @@
 #include "core/fingerprint.hpp"
 
 #include "core/resolution.hpp"
-#include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "ledger/types.hpp"
 #include "obs/metrics.hpp"

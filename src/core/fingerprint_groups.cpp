@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/fingerprint.hpp"
-#include "exec/chunked_view.hpp"
 #include "exec/parallel.hpp"
 #include "util/contract.hpp"
 
@@ -117,11 +116,11 @@ AnonymityProfile anonymity_profile(ledger::PaymentView view,
         return static_cast<std::size_t>(next - sorted.data());
     };
     return exec::map_reduce<AnonymityProfile>(
-        exec::chunk_count_for(sorted.size(), grain),
-        [&](std::size_t s) {
+        sorted.size(), grain,
+        [&](std::size_t slice_begin, std::size_t slice_end) {
             AnonymityProfile partial;
-            std::size_t begin = run_start(s * grain);
-            const std::size_t last = run_start((s + 1) * grain);
+            std::size_t begin = run_start(slice_begin);
+            const std::size_t last = run_start(slice_end);
             while (begin < last) {
                 // Owners ascend within a group, so each change of owner
                 // between neighbours is one more distinct owner.

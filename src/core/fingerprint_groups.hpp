@@ -15,9 +15,9 @@
 // constants, never by the thread count.
 //
 // The keys are owner ids for the IG variants and the anonymity
-// profile — the sender for Fig 3, the wallet's real owner for the
-// rotation linkage attack, the sender's cluster for entity-level IG —
-// and row indices for the attack index.
+// profile — the sender for Fig 3, the sender's cluster for
+// entity-level IG and the rotation linkage attack — and row indices
+// for the attack index.
 #pragma once
 
 #include <compare>

@@ -1,8 +1,9 @@
 #include "core/mitigation.hpp"
 
 #include <string>
+#include <vector>
 
-#include "core/fingerprint_groups.hpp"
+#include "core/clustering.hpp"
 
 namespace xrpl::core {
 
@@ -21,7 +22,6 @@ RotatedColumns apply_wallet_rotation(
     const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of) {
     RotatedColumns out;
     out.payments = payments;
-    out.owner_id.assign(payments.sender_id.begin(), payments.sender_id.end());
 
     const std::size_t pool =
         config.wallets_per_sender == 0 ? 1 : config.wallets_per_sender;
@@ -36,7 +36,7 @@ RotatedColumns apply_wallet_rotation(
     std::unordered_map<std::uint32_t, OwnerState> state;
 
     for (std::size_t i = 0; i < out.payments.size(); ++i) {
-        const std::uint32_t owner = out.owner_id[i];
+        const std::uint32_t owner = payments.sender_id[i];
         auto [it, inserted] = state.try_emplace(owner);
         OwnerState& owner_state = it->second;
         if (inserted) {
@@ -67,14 +67,6 @@ RotatedColumns apply_wallet_rotation(
     return out;
 }
 
-IgResult linked_information_gain(const RotatedColumns& rotated,
-                                 const ResolutionConfig& config) {
-    // The attacker clusters wallets by activator: the owner column is
-    // exactly the identity it recovers.
-    return ig_of(anonymity_profile(rotated.payments.view(), rotated.owner_id,
-                                   config));
-}
-
 MitigationReport evaluate_wallet_rotation(
     const ledger::PaymentColumns& payments, const ResolutionConfig& resolution,
     const WalletRotationConfig& config,
@@ -88,7 +80,15 @@ MitigationReport evaluate_wallet_rotation(
         apply_wallet_rotation(payments, config, trustlines_of);
     const Deanonymizer after(rotated.payments);
     report.rotated = after.information_gain(resolution);
-    report.linked = linked_information_gain(rotated, resolution);
+    // The linkage attack: each owner activated its wallets, so
+    // clustering by activator links every wallet back to its owner.
+    std::vector<ActivationEdge> activations;
+    activations.reserve(rotated.wallet_owner.size());
+    for (const auto& [wallet, owner] : rotated.wallet_owner) {
+        activations.push_back(ActivationEdge{owner, wallet});
+    }
+    report.linked = clustered_information_gain(
+        rotated.payments.view(), resolution, cluster_by_activation(activations));
 
     report.wallets_created = rotated.wallets_created;
     report.trustlines_created = rotated.trustlines_created;

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "core/deanonymizer.hpp"
 #include "core/features.hpp"
@@ -37,15 +36,12 @@ struct WalletRotationConfig {
 };
 
 /// Outcome of rewriting a history under wallet rotation: the wallet
-/// accounts are appended to the interner, the sender column is
-/// remapped, and the ground-truth owner of each payment rides along as
-/// a parallel column of interned ids.
+/// accounts are appended to the interner and the sender column is
+/// remapped.
 struct RotatedColumns {
     ledger::PaymentColumns payments;
-    /// Per payment: interned id (in payments.accounts) of the owner.
-    std::vector<std::uint32_t> owner_id;
-    /// Ground truth (and exactly what the linkage attack recovers):
-    /// wallet -> owner.
+    /// wallet -> owner: the owner activated the wallet, so these are
+    /// the activation edges the linkage attack clusters.
     std::unordered_map<ledger::AccountID, ledger::AccountID> wallet_owner;
     std::uint64_t wallets_created = 0;
     std::uint64_t trustlines_created = 0;
@@ -60,18 +56,16 @@ struct RotatedColumns {
     const ledger::PaymentColumns& payments, const WalletRotationConfig& config,
     const std::function<std::size_t(const ledger::AccountID&)>& trustlines_of);
 
-/// IG over a rotated history after the activation-linkage attack:
-/// every wallet is mapped back to its owner, so a fingerprint is
-/// "unique" when all its payments come from ONE owner. With perfect
-/// linkage this equals the original IG.
-[[nodiscard]] IgResult linked_information_gain(const RotatedColumns& rotated,
-                                               const ResolutionConfig& config);
-
 /// The full before/after/linked comparison for one resolution config.
 struct MitigationReport {
     IgResult baseline;        // original history
     IgResult rotated;         // after wallet rotation
-    IgResult linked;          // after the linkage attack
+    /// After the linkage attack: the wallets are clustered by their
+    /// activator (cluster_by_activation over wallet_owner) and the IG
+    /// is taken per cluster, so a fingerprint is "unique" when all its
+    /// payments come from ONE owner. Each cluster is one owner and its
+    /// wallets, so this equals the original IG.
+    IgResult linked;
     std::uint64_t wallets_created = 0;
     std::uint64_t trustlines_created = 0;
     double xrp_reserve_cost = 0.0;

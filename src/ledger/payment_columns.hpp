@@ -156,8 +156,7 @@ public:
     }
 
     /// The window [offset, offset + count) of THIS view (offsets are
-    /// view-relative). The chunked-scan runtime windows each chunk
-    /// through here.
+    /// view-relative).
     [[nodiscard]] PaymentView subview(std::size_t offset,
                                       std::size_t count) const noexcept {
         XRPL_ASSERT(offset <= count_ && count <= count_ - offset,

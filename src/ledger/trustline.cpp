@@ -52,15 +52,6 @@ bool TrustLine::transfer_from(const AccountID& sender, IouAmount amount) noexcep
     return true;
 }
 
-void TrustLine::revert_transfer_from(const AccountID& sender,
-                                     IouAmount amount) noexcept {
-    if (sender == key_.low) {
-        balance_ = balance_ + amount;
-    } else {
-        balance_ = balance_ - amount;
-    }
-}
-
 const AccountID& TrustLine::peer_of(const AccountID& account) const noexcept {
     return account == key_.low ? key_.high : key_.low;
 }

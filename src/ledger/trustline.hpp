@@ -75,12 +75,6 @@ public:
     /// exceeds the current capacity or is not positive.
     [[nodiscard]] bool transfer_from(const AccountID& sender, IouAmount amount) noexcept;
 
-    /// Approximate inverse of a prior transfer_from(sender, amount),
-    /// with no capacity check. Exact only up to decimal rounding when
-    /// the operands' exponents differ; rollback paths that must be
-    /// byte-exact snapshot balance() and use restore_balance().
-    void revert_transfer_from(const AccountID& sender, IouAmount amount) noexcept;
-
     /// Byte-exact rollback support: reset the balance to a previously
     /// observed value (no checks — journal use only).
     void restore_balance(IouAmount balance) noexcept { balance_ = balance; }

@@ -5,12 +5,12 @@
 // milliseconds to read back; at the paper's 23M scale the gap is
 // minutes versus a couple of seconds. XCOL is the on-disk shape that
 // closes it: each column is chunked into runs of kXcolChunkRows rows
-// (the exec::ChunkedView grain, so a loaded store chunks exactly like
-// a generated one), chunk bodies are varint/delta encoded (timestamps
-// delta within the chunk, interned ids and mantissas as LEB128), and
-// the interner dictionaries ride along verbatim so the loaded store is
-// id-for-id identical to the saved one — columns_fingerprint round-
-// trips bit-exactly.
+// (exec::kDefaultChunkRows, the scans' grain, so a loaded store chunks
+// exactly like a generated one), chunk bodies are varint/delta
+// encoded (timestamps delta within the chunk, interned ids and
+// mantissas as LEB128), and the interner dictionaries ride along
+// verbatim so the loaded store is id-for-id identical to the saved
+// one — columns_fingerprint round-trips bit-exactly.
 //
 // Layout (all integers little-endian):
 //
@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/chunked_view.hpp"
+#include "exec/parallel.hpp"
 #include "ledger/payment_columns.hpp"
 
 namespace xrpl::snap {
@@ -48,7 +48,7 @@ inline constexpr std::uint32_t kXcolMagic = 0x4C4F4358u;
 inline constexpr std::uint16_t kXcolVersion = 1;
 
 /// Rows per chunk — pinned to the scan grain so a loaded store
-/// re-chunks identically under exec::ChunkedView.
+/// re-chunks identically under exec::map_reduce and parallel_for.
 inline constexpr std::uint32_t kXcolChunkRows =
     static_cast<std::uint32_t>(exec::kDefaultChunkRows);
 

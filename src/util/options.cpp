@@ -28,10 +28,6 @@ constexpr OptionInfo kOptionTable[] = {
      "synthetic history size shared by the figure benches (paper: 23 M)"},
     {"XRPL_BENCH_CONSENSUS_SCALE", "u64", "10",
      "percent of the full 252 K-round fortnight per Fig 2 period"},
-    {"XRPL_BENCH_REPLAY_PAYMENTS", "u64", "40000",
-     "Table II replay stream size (paper: 1.7 M)"},
-    {"XRPL_BENCH_DATAGEN_PAYMENTS", "u64", "100000",
-     "history size for the `ext_datagen_scaling` thread sweep"},
     {"XRPL_BENCH_JSON_DIR", "string", ".",
      "directory the bench harness writes `BENCH_<name>.json` into"},
     {"XRPL_DATASET_DIR", "string", "(unset: caching off)",
@@ -75,10 +71,6 @@ Options Options::from_env() {
     opts.bench_payments = env_u64("XRPL_BENCH_PAYMENTS", opts.bench_payments);
     opts.bench_consensus_scale =
         env_u64("XRPL_BENCH_CONSENSUS_SCALE", opts.bench_consensus_scale);
-    opts.bench_replay_payments =
-        env_u64("XRPL_BENCH_REPLAY_PAYMENTS", opts.bench_replay_payments);
-    opts.bench_datagen_payments =
-        env_u64("XRPL_BENCH_DATAGEN_PAYMENTS", opts.bench_datagen_payments);
     opts.bench_json_dir = env_string("XRPL_BENCH_JSON_DIR", opts.bench_json_dir);
     opts.dataset_dir = env_string("XRPL_DATASET_DIR", opts.dataset_dir);
     warn_unknown_variables();

@@ -33,10 +33,6 @@ struct Options {
     /// XRPL_BENCH_CONSENSUS_SCALE — percent of the full two-week
     /// capture per Fig 2 period.
     std::uint64_t bench_consensus_scale = 10;
-    /// XRPL_BENCH_REPLAY_PAYMENTS — Table II replay stream size.
-    std::uint64_t bench_replay_payments = 40'000;
-    /// XRPL_BENCH_DATAGEN_PAYMENTS — ext_datagen_scaling history size.
-    std::uint64_t bench_datagen_payments = 100'000;
     /// XRPL_BENCH_JSON_DIR — directory the harness writes
     /// BENCH_<name>.json into.
     std::string bench_json_dir = ".";

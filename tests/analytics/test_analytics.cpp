@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "analytics/currency_stats.hpp"
 #include "analytics/histogram.hpp"
+#include "analytics/network_stats.hpp"
 #include "analytics/path_stats.hpp"
 #include "analytics/survival.hpp"
+#include "analytics/top_users.hpp"
+#include "exec/parallel.hpp"
 
 namespace xrpl::analytics {
 namespace {
@@ -105,6 +111,52 @@ TEST(CurrencyStatsTest, RanksDescending) {
 TEST(CurrencyStatsTest, EmptyIsEmpty) {
     const std::unordered_map<ledger::Currency, std::uint64_t> no_counts;
     EXPECT_TRUE(rank_currencies(no_counts).empty());
+}
+
+TEST(ScanWindowTest, WindowScansEqualScansOfAStoreOfItsRows) {
+    // Each scan adds view.offset() to the chunk bounds map_reduce hands
+    // it. A window that starts mid-store and spans several chunks must
+    // scan exactly its own rows, as a fresh store of them does. Senders
+    // and destinations thin out along the store, so a window and the
+    // store's first rows differ in their distinct accounts too.
+    constexpr std::size_t kChunk = exec::kDefaultChunkRows;
+    const char* const codes[] = {"USD", "BTC", "EUR"};
+    ledger::PaymentColumns columns;
+    for (std::size_t i = 0; i < 3 * kChunk + 517; ++i) {
+        ledger::TxRecord r;
+        r.sender = ledger::AccountID::from_seed("s" + std::to_string(i * i / 175'000));
+        r.destination =
+            ledger::AccountID::from_seed("d" + std::to_string(i * i / 1'000'000));
+        r.currency = ledger::Currency::from_code(codes[(i / 1'000) % 3]);
+        r.amount = ledger::IouAmount::from_double(0.5 + static_cast<double>(i % 977));
+        r.time = util::RippleTime{static_cast<std::int64_t>(i)};
+        columns.push_back(r);
+    }
+    const std::size_t offset = 1'234;
+    const std::size_t count = 2 * kChunk + 321;
+    const ledger::PaymentView window = columns.view().subview(offset, count);
+    std::vector<ledger::TxRecord> rows;
+    for (std::size_t i = offset; i < offset + count; ++i) rows.push_back(columns.row(i));
+    const ledger::PaymentColumns fresh = ledger::PaymentColumns::from_records(rows);
+
+    EXPECT_EQ(count_currencies(window), count_currencies(fresh.view()));
+    EXPECT_EQ(amount_samples(window), amount_samples(fresh.view()));
+    for (const char* code : codes) {
+        const ledger::Currency currency = ledger::Currency::from_code(code);
+        EXPECT_EQ(amount_samples(window, currency),
+                  amount_samples(fresh.view(), currency))
+            << code;
+    }
+    const auto activity = sender_activity(fresh.view());
+    EXPECT_EQ(sender_activity(window), activity);
+    // The window's rows differ from the store's first rows, so a scan
+    // that dropped the offset would not pass.
+    EXPECT_NE(sender_activity(columns.view().prefix(count)), activity);
+    ledger::LedgerState state;
+    const NetworkStats windowed = compute_network_stats(state, window);
+    const NetworkStats expected = compute_network_stats(state, fresh.view());
+    EXPECT_EQ(windowed.active_senders, expected.active_senders);
+    EXPECT_EQ(windowed.active_participants, expected.active_participants);
 }
 
 TEST(PathStatsTest, BuildsFromRawHistograms) {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/fingerprint.hpp"
-#include "exec/chunked_view.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "util/rng.hpp"
 

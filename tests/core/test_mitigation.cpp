@@ -47,7 +47,6 @@ TEST(MitigationTest, RotationSpreadsPaymentsAcrossWallets) {
         apply_wallet_rotation(payments, config, three_lines);
 
     ASSERT_EQ(rotated.payments.size(), payments.size());
-    ASSERT_EQ(rotated.owner_id.size(), payments.size());
     std::unordered_set<AccountID> wallets;
     for (std::size_t i = 0; i < payments.size(); ++i) {
         const TxRecord original = payments.row(i);
@@ -56,8 +55,7 @@ TEST(MitigationTest, RotationSpreadsPaymentsAcrossWallets) {
         // Wallets are fresh accounts, not the owners.
         EXPECT_NE(record.sender, AccountID::from_seed("alice"));
         EXPECT_NE(record.sender, AccountID::from_seed("bob"));
-        EXPECT_EQ(rotated.payments.accounts.at(rotated.owner_id[i]),
-                  original.sender);
+        EXPECT_EQ(rotated.wallet_owner.at(record.sender), original.sender);
         // Only the sender changes.
         EXPECT_EQ(record.destination, original.destination);
         EXPECT_EQ(record.amount, original.amount);

@@ -1,11 +1,12 @@
-// parallel_for / map_reduce: full index coverage, disjoint writes,
-// and the ordered-merge contract (partials fold strictly in chunk
-// order — the property every deterministic scan in the repo leans on).
+// parallel_for / map_reduce: one partition of the range for both, full
+// index coverage, disjoint writes, and the ordered-merge contract
+// (partials fold strictly in chunk order — the property every
+// deterministic scan in the repo leans on).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -39,18 +40,44 @@ TEST(ParallelTest, ParallelForWritesEveryIndexOnce) {
 TEST(ParallelTest, MapReduceSumsAllChunks) {
     ScopedParallelism pool(4);
     constexpr std::size_t kCount = 10'000;
-    const std::size_t chunks = chunk_count_for(kCount, 128);
     const std::uint64_t total = map_reduce<std::uint64_t>(
-        chunks,
-        [&](std::size_t c) {
-            const std::size_t begin = c * 128;
-            const std::size_t end = std::min(begin + 128, kCount);
+        kCount, 128,
+        [](std::size_t begin, std::size_t end) {
             std::uint64_t sum = 0;
             for (std::size_t i = begin; i < end; ++i) sum += i;
             return sum;
         },
         [](std::uint64_t& acc, std::uint64_t&& part) { acc += part; });
     EXPECT_EQ(total, kCount * (kCount - 1) / 2);
+}
+
+TEST(ParallelTest, MapReduceChunksPartitionTheRangeAsParallelForDoes) {
+    // The (begin, end) pairs map_reduce hands out, in merge order: a
+    // ragged tail, an exact multiple and an empty range, each the
+    // chunks parallel_for(n, grain) gets.
+    ScopedParallelism pool(4);
+    using Chunks = std::vector<std::pair<std::size_t, std::size_t>>;
+    const auto reduced_chunks = [](std::size_t n, std::size_t grain) {
+        return map_reduce<Chunks>(
+            n, grain,
+            [](std::size_t begin, std::size_t end) { return Chunks{{begin, end}}; },
+            [](Chunks& acc, Chunks&& part) {
+                acc.insert(acc.end(), part.begin(), part.end());
+            });
+    };
+    const auto for_chunks = [](std::size_t n, std::size_t grain) {
+        Chunks seen(chunk_count_for(n, grain));
+        parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+            seen[begin / grain] = {begin, end};
+        });
+        return seen;
+    };
+    EXPECT_EQ(reduced_chunks(25, 10), (Chunks{{0, 10}, {10, 20}, {20, 25}}));
+    EXPECT_EQ(reduced_chunks(30, 10), (Chunks{{0, 10}, {10, 20}, {20, 30}}));
+    EXPECT_TRUE(reduced_chunks(0, 10).empty());
+    for (const std::size_t n : {0u, 25u, 30u}) {
+        EXPECT_EQ(for_chunks(n, 10), reduced_chunks(n, 10)) << n;
+    }
 }
 
 TEST(ParallelTest, MapReduceMergesInChunkOrder) {
@@ -60,8 +87,8 @@ TEST(ParallelTest, MapReduceMergesInChunkOrder) {
     ScopedParallelism pool(8);
     constexpr std::size_t kChunks = 64;
     const std::vector<std::size_t> order = map_reduce<std::vector<std::size_t>>(
-        kChunks,
-        [](std::size_t c) { return std::vector<std::size_t>{c}; },
+        kChunks, 1,
+        [](std::size_t begin, std::size_t) { return std::vector<std::size_t>{begin}; },
         [](std::vector<std::size_t>& acc, std::vector<std::size_t>&& part) {
             acc.insert(acc.end(), part.begin(), part.end());
         });
@@ -80,7 +107,7 @@ TEST(ParallelTest, MapReduceTimesEveryChunk) {
     chunk_ns.reset();
     constexpr std::size_t kChunks = 37;
     const std::size_t total = map_reduce<std::size_t>(
-        kChunks, [](std::size_t c) { return c; },
+        kChunks, 1, [](std::size_t begin, std::size_t) { return begin; },
         [](std::size_t& acc, std::size_t&& part) { acc += part; });
     const std::uint64_t reduce_samples = chunk_ns.count();
     parallel_for(100, 10, [](std::size_t, std::size_t) {});
@@ -91,11 +118,17 @@ TEST(ParallelTest, MapReduceTimesEveryChunk) {
     EXPECT_EQ(for_samples, 10u);
 }
 
-TEST(ParallelTest, MapReduceZeroChunksReturnsInit) {
+TEST(ParallelTest, MapReduceEmptyRangeReturnsAnEmptyPartial) {
+    bool mapped = false;
     const int result = map_reduce<int>(
-        0, [](std::size_t) { return 1; }, [](int& acc, int&& p) { acc += p; },
-        42);
-    EXPECT_EQ(result, 42);
+        0, 8,
+        [&](std::size_t, std::size_t) {
+            mapped = true;
+            return 1;
+        },
+        [](int& acc, int&& p) { acc += p; });
+    EXPECT_EQ(result, 0);
+    EXPECT_FALSE(mapped);
 }
 
 }  // namespace

@@ -84,23 +84,6 @@ TEST_F(TrustLineTest, RoundTripRestoresCapacity) {
     EXPECT_NEAR(line.capacity_from(bob_).to_double(), 10.0, 1e-9);
 }
 
-TEST_F(TrustLineTest, RevertUndoesTransferExactly) {
-    TrustLine line = make_line(10.0, 20.0);
-    ASSERT_TRUE(line.transfer_from(bob_, IouAmount::from_double(7.0)));
-    line.revert_transfer_from(bob_, IouAmount::from_double(7.0));
-    EXPECT_TRUE(line.balance().is_zero());
-}
-
-TEST_F(TrustLineTest, RevertWorksEvenAfterLimitLowered) {
-    TrustLine line = make_line(10.0, 20.0);
-    ASSERT_TRUE(line.transfer_from(bob_, IouAmount::from_double(7.0)));
-    // Alice reduces her trust below the outstanding balance.
-    line.set_limit_of(alice_, IouAmount::from_double(1.0));
-    // A regular reverse transfer would now fail the capacity check…
-    line.revert_transfer_from(bob_, IouAmount::from_double(7.0));
-    EXPECT_TRUE(line.balance().is_zero());
-}
-
 TEST_F(TrustLineTest, LimitsUpdateIndependently) {
     TrustLine line = make_line(10.0, 20.0);
     line.set_limit_of(alice_, IouAmount::from_double(100.0));

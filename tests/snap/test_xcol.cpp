@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "datagen/history.hpp"
-#include "exec/chunked_view.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "ledger/payment_columns.hpp"
 #include "snap/xcol.hpp"

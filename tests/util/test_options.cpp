@@ -20,8 +20,6 @@ const char* const kAllVars[] = {
     "XRPL_OBS",
     "XRPL_BENCH_PAYMENTS",
     "XRPL_BENCH_CONSENSUS_SCALE",
-    "XRPL_BENCH_REPLAY_PAYMENTS",
-    "XRPL_BENCH_DATAGEN_PAYMENTS",
     "XRPL_BENCH_JSON_DIR",
     "XRPL_DATASET_DIR",
 };
@@ -66,8 +64,6 @@ TEST_F(OptionsTest, DefaultsWithCleanEnvironment) {
     EXPECT_FALSE(opts.obs_explicit);
     EXPECT_EQ(opts.bench_payments, 250'000u);
     EXPECT_EQ(opts.bench_consensus_scale, 10u);
-    EXPECT_EQ(opts.bench_replay_payments, 40'000u);
-    EXPECT_EQ(opts.bench_datagen_payments, 100'000u);
     EXPECT_EQ(opts.bench_json_dir, ".");
     EXPECT_EQ(opts.dataset_dir, "");  // caching off by default
 }
@@ -77,8 +73,6 @@ TEST_F(OptionsTest, ParsesEveryKnob) {
     ::setenv("XRPL_OBS", "1", 1);
     ::setenv("XRPL_BENCH_PAYMENTS", "1234", 1);
     ::setenv("XRPL_BENCH_CONSENSUS_SCALE", "55", 1);
-    ::setenv("XRPL_BENCH_REPLAY_PAYMENTS", "777", 1);
-    ::setenv("XRPL_BENCH_DATAGEN_PAYMENTS", "4321", 1);
     ::setenv("XRPL_BENCH_JSON_DIR", "/tmp/reports", 1);
     ::setenv("XRPL_DATASET_DIR", "/tmp/datasets", 1);
     const Options opts = Options::from_env();
@@ -87,8 +81,6 @@ TEST_F(OptionsTest, ParsesEveryKnob) {
     EXPECT_TRUE(opts.obs_explicit);
     EXPECT_EQ(opts.bench_payments, 1234u);
     EXPECT_EQ(opts.bench_consensus_scale, 55u);
-    EXPECT_EQ(opts.bench_replay_payments, 777u);
-    EXPECT_EQ(opts.bench_datagen_payments, 4321u);
     EXPECT_EQ(opts.bench_json_dir, "/tmp/reports");
     EXPECT_EQ(opts.dataset_dir, "/tmp/datasets");
 }

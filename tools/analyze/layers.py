@@ -38,12 +38,10 @@ LAYERS = [
 ]
 
 # The two intra-layer edges the architecture commits to:
-#   exec → ledger   ChunkedView partitions PaymentColumns;
 #   exec → obs      the pool records its own batch/queue metrics;
 #   datagen → paths the generator drives the payment engine to settle
 #                   every synthetic payment it emits.
 INTRA_LAYER_EDGES = {
-    ("exec", "ledger"),
     ("exec", "obs"),
     ("datagen", "paths"),
 }
